@@ -1,30 +1,6 @@
-"""Small shared helpers: parallel map and deterministic CSV output."""
+"""Small shared helpers: deterministic CSV output."""
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-THREADS_ENV = "WARPED_DISK_THREADS"
-
-
-def thread_budget() -> int:
-    """Worker cap from the WARPED_DISK_THREADS environment variable (default 1)."""
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def parallel_map(fn, items):
-    """Map ``fn`` over ``items`` preserving order, threaded if allowed."""
-    items = list(items)
-    workers = min(thread_budget(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def fmt17(x) -> str:

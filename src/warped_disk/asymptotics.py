@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import parallel_map, write_csv, fmt17
+from ._util import write_csv, fmt17
 from .errors import DomainError
 from .geometry import (
     CurvatureProfile,
@@ -263,23 +263,24 @@ def numeric_evidence(
     """Boundedness verdicts for phi_m and z, and the ratio decay slope.
 
     Verdicts follow the doubling-ladder rule; the mean-integral-ratio
-    slope is fitted over the last decade of radii. Angular frequencies
-    may be evaluated in parallel (WARPED_DISK_THREADS).
+    slope is fitted over the last decade of radii. One mode pass carries
+    m = 0 and every tested angular frequency.
     """
     if not m_set:
         raise DomainError("m_set must be nonempty")
     horizon = profile.require_radius(horizon)
     ladder = _ladder(horizon)
+    m_values = sorted(set(int(m) for m in m_set))
+    mp = mode_pass(profile, [0, *m_values], horizon, rtol=rtol, atol=atol)
+    w_radii = np.geomspace(ladder[0], horizon, 64)
 
     def one(m: int) -> ModeEvidence:
-        mp = mode_pass(profile, m, horizon, rtol=rtol, atol=atol)
-        lam = mp.lam(ladder)
-        z = mp.z(ladder)
+        lam, _, z = mp.all_values(ladder, m)
         phi_verdict, phi_rho, _ = _increment_verdict(lam)
         if m == 0:
             phi_verdict, phi_rho = BOUNDED, 0.0
         z_verdict, z_rho, _ = _increment_verdict(z)
-        w = mp.inner_ratio(np.geomspace(ladder[0], horizon, 64))
+        w = mp.inner_ratio(w_radii, m)
         return ModeEvidence(
             m=int(m),
             phi_verdict=phi_verdict,
@@ -291,12 +292,11 @@ def numeric_evidence(
             inner_ratio_max=float(np.max(w)),
         )
 
-    evidence = tuple(parallel_map(one, sorted(set(int(m) for m in m_set))))
+    evidence = tuple(one(m) for m in m_values)
 
     ratio_window = (horizon / 10.0, horizon)
-    mp0 = mode_pass(profile, 0, horizon, rtol=rtol, atol=atol)
     radii = np.geomspace(ratio_window[0], ratio_window[1], 24)
-    psi = mp0.inner_ratio(radii)
+    psi = mp.inner_ratio(radii, 0)
     slope = float(np.polyfit(np.log(radii), np.log(psi), 1)[0])
 
     limit = estimate_log_derivative_limit(profile, horizon)

@@ -206,8 +206,8 @@ def synthesize_trace(spectrum: FourierSpectrum, radius: float, n: int) -> Bounda
 class _ModeTable:
     """Monotone cubic interpolants of Lambda_m and z in log r, per |m|.
 
-    ``passes`` keeps the dense quadrature solutions for verification,
-    which must not inherit interpolation error.
+    ``dense`` keeps the dense quadrature solution of all |m| for
+    verification, which must not inherit interpolation error.
     """
 
     radius: float
@@ -217,7 +217,7 @@ class _ModeTable:
     lam_at_radius: np.ndarray
     z_at_radius: np.ndarray
     grid: RadialGrid
-    passes: tuple
+    dense: object   # the shared mode pass over |m| = 0 .. m_max
 
     def lam(self, m: int, r):
         r = np.asarray(r, dtype=float)
@@ -256,15 +256,13 @@ def _build_mode_table(profile: MetricProfile, radius: float, m_max: int,
     log_nodes = np.log(grid.nodes)
     lam_interp = []
     z_interp = []
-    passes = []
     lam_r = np.empty(m_max + 1)
     z_r = np.empty(m_max + 1)
+    mp = mode_pass(profile, range(m_max + 1), radius, rtol=rtol, atol=atol)
     for am in range(m_max + 1):
-        mp = mode_pass(profile, am, radius, rtol=rtol, atol=atol)
-        lam, _, z = mp.all_values(grid.nodes)
+        lam, _, z = mp.all_values(grid.nodes, am)
         lam_interp.append(PchipInterpolator(log_nodes, lam, extrapolate=True))
         z_interp.append(PchipInterpolator(log_nodes, z, extrapolate=True))
-        passes.append(mp)
         lam_r[am] = lam[-1]
         z_r[am] = z[-1]
     return _ModeTable(
@@ -275,7 +273,7 @@ def _build_mode_table(profile: MetricProfile, radius: float, m_max: int,
         lam_at_radius=lam_r,
         z_at_radius=z_r,
         grid=grid,
-        passes=tuple(passes),
+        dense=mp,
     )
 
 
@@ -461,7 +459,7 @@ def verify_disk_solution(
     for m in range(-coeffs.m_max, coeffs.m_max + 1):
         cm, dm = coeffs.pair(m)
         am = abs(m)
-        lam, _, z = table.passes[am].all_values(x)
+        lam, _, z = table.dense.all_values(x, am)
         phim = np.exp(np.minimum(lam, 700.0))
         fm = (cm + dm * z) * phim
         d1r, d2r = sample_derivatives(x, fm.real)

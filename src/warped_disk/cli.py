@@ -32,7 +32,7 @@ from .errors import DomainError, WarpedDiskError
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_UNDETERMINED = 2
-EXIT_INFEASIBLE = 2
+EXIT_INFEASIBLE = 3
 EXIT_USAGE = 64
 EXIT_NUMERIC = 70
 

@@ -15,6 +15,9 @@ curvature, phi and the inner integral overflow doubles long before the
 quantities of interest do, so everything is accumulated in scaled form:
 the integration state is (Lambda, log w, z), advanced by an adaptive
 stiff-capable integrator whose dense output serves as the quadrature.
+Since Lambda_m is |m| times a profile integral that does not depend on
+m, one solve carries (log w, z) for every requested |m| beside a single
+Lambda, and all frequencies share the profile lookups of each step.
 The inner ratio w is exactly the quantity whose growth or decay drives
 the Liouville-type dichotomies, so it is exposed alongside the modes.
 """
@@ -124,17 +127,29 @@ class BiharmonicMode:
 # ----------------------------------------------------------------------
 
 class _ModePass:
-    """Dense solution of the coupled (Lambda, log w, z) system for one |m|.
+    """Dense solution of the coupled (Lambda, log w_m, z_m) system for a set of |m|.
+
+    One adaptive solve carries every requested |m|: the state is
+    (Lambda_ref, log w_m for each m, z_m for each m), where Lambda_ref is
+    Lambda of the largest requested |m| and Lambda_m = (|m|/m_ref)
+    Lambda_ref, so each right-hand-side call makes one lookup of log phi
+    and one of phi'/phi, shared by all frequencies. With a single |m| the system is exactly
+    the per-frequency (Lambda_m, log w, z) system.
 
     Lambda is integrated from t0 with Lambda(t0) = 0 and shifted so that
     Lambda(1) = 0 afterwards; w and z are invariant under that shift.
     The seed uses phi(t) ~ t on [0, t0]: the inner integrand behaves
     like t^(1+2|m|), so w(t0) = t0/(2+2|m|) and z(t0) = t0^2/(4+4|m|).
+
+    The accessors take the angular frequency m, which may be omitted
+    when the pass holds only one.
     """
 
-    def __init__(self, profile: MetricProfile, m: int, r_end: float,
+    def __init__(self, profile: MetricProfile, m, r_end: float,
                  rtol: float, atol: float, t0: float | None = None):
-        am = abs(int(m))
+        ms = sorted({abs(int(k)) for k in ([m] if np.isscalar(m) else m)})
+        if not ms:
+            raise DomainError("a mode pass needs at least one angular frequency")
         r_end = float(r_end)
         if r_end > profile.r_max * (1.0 + 1e-12):
             raise DomainError("mode grid extends beyond the profile's radius of validity")
@@ -145,34 +160,62 @@ class _ModePass:
             raise DomainError("mode horizon must be positive")
         if t0 is None:
             t0 = min(1e-5, _ORIGIN_FRACTION * r_end)
-        self.m = am
+        self.ms = tuple(ms)
         self.t0 = t0
+        n = len(ms)
+        m_ref = ms[-1]
+        slots = [(k, 2.0 * am) for k, am in enumerate(ms, start=1)]
         u_of = profile.log_phi
         v_of = profile.dlog_phi
+        exp = math.exp
 
+        # Python floats, written over the state list in place: for a
+        # handful of states, numpy slicing and ufuncs would cost more
+        # than the arithmetic. The right-hand side does not read z.
         def rhs(s, y):
             u = float(u_of(s))
             v = float(v_of(s))
-            big_v = v + 2.0 * am * math.exp(-u)
-            ew = math.exp(-y[1])
-            return (am * math.exp(-u), ew - big_v, math.exp(y[1]))
+            e = exp(-u)
+            out = y.tolist()
+            out[0] = m_ref * e
+            for k, two_m in slots:
+                lw = out[k]
+                out[k] = exp(-lw) - (v + two_m * e)
+                out[k + n] = exp(lw)
+            return out
 
         def jac(s, y):
-            ew = math.exp(-y[1])
-            return np.array([[0.0, 0.0, 0.0], [0.0, -ew, 0.0], [0.0, math.exp(y[1]), 0.0]])
+            out = np.zeros((1 + 2 * n, 1 + 2 * n))
+            for k, lw in enumerate(y[1:1 + n].tolist(), start=1):
+                out[k, k] = -exp(-lw)
+                out[k + n, k] = exp(lw)
+            return out
 
-        y0 = (0.0, math.log(t0 / (2.0 + 2.0 * am)), t0 * t0 / (4.0 + 4.0 * am))
+        y0 = [0.0,
+              *[math.log(t0 / (2.0 + 2.0 * am)) for am in ms],
+              *[t0 * t0 / (4.0 + 4.0 * am) for am in ms]]
         span_end = max(r_end, 1.0)  # Lambda is anchored at r = 1
         rtol = max(rtol, 1e-13)     # below this the solver clamps anyway
         sol = solve_ivp(rhs, (t0, span_end), y0, method="LSODA",
                         rtol=rtol, atol=atol, dense_output=True, jac=jac)
         if sol.status != 0:
             raise QuadratureError(
-                f"mode quadrature for m={m} stopped: {sol.message}",
+                f"mode quadrature for m={', '.join(map(str, ms))} stopped: {sol.message}",
                 worst_interval=(float(sol.t[-1]), span_end),
             )
         self._sol = sol.sol
+        # raw Lambda_ref at r = 1, the shift that normalizes phi_m(1) = 1
         self.lam_at_one = float(sol.sol(1.0)[0]) if span_end >= 1.0 >= t0 else 0.0
+
+    def _index(self, m) -> int:
+        if m is None:
+            if len(self.ms) != 1:
+                raise DomainError(f"this pass holds m = {self.ms}; name the one wanted")
+            return 0
+        am = abs(int(m))
+        if am not in self.ms:
+            raise DomainError(f"m = {m} is not in this pass (m = {self.ms})")
+        return self.ms.index(am)
 
     def _states(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -180,19 +223,27 @@ class _ModePass:
             raise DomainError(f"mode values only available for r >= {self.t0:g}")
         return self._sol(np.maximum(r, self.t0))
 
-    def lam(self, r):
-        return self._states(r)[0] - self.lam_at_one
+    def _lam(self, states, k: int):
+        am = self.ms[k]
+        if am == 0:
+            return np.zeros_like(states[0])
+        return (states[0] - self.lam_at_one) * (am / self.ms[-1])
 
-    def z(self, r):
-        return self._states(r)[2]
+    def lam(self, r, m=None):
+        return self._lam(self._states(r), self._index(m))
 
-    def inner_ratio(self, r):
+    def z(self, r, m=None):
+        return self._states(r)[1 + len(self.ms) + self._index(m)]
+
+    def inner_ratio(self, r, m=None):
         """w(r): the scaled inner integral the growth lemmas are about."""
-        return np.exp(self._states(r)[1])
+        return np.exp(self._states(r)[1 + self._index(m)])
 
-    def all_values(self, r):
+    def all_values(self, r, m=None):
+        """(Lambda_m, w_m, z_m) at the radii r."""
+        k = self._index(m)
         out = self._states(r)
-        return out[0] - self.lam_at_one, np.exp(out[1]), out[2]
+        return self._lam(out, k), np.exp(out[1 + k]), out[1 + len(self.ms) + k]
 
 
 def _paired_passes(profile, m, grid: RadialGrid, rtol, atol):
@@ -314,9 +365,15 @@ def mean_integral_ratio(
     return float(tight.inner_ratio(s))
 
 
-def mode_pass(profile: MetricProfile, m: int, r_end: float,
+def mode_pass(profile: MetricProfile, m, r_end: float,
               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> _ModePass:
-    """Dense mode solution for callers that sample many radii at once."""
+    """Dense mode solution for callers that sample many radii at once.
+
+    ``m`` is one angular frequency or a sequence of them; a sequence is
+    solved as one system whose frequencies share the profile lookups of
+    every right-hand-side call. The pass runs _TIGHTEN times tighter
+    than the requested tolerances.
+    """
     return _ModePass(profile, m, r_end, rtol / _TIGHTEN, atol / _TIGHTEN)
 
 

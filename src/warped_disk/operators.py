@@ -85,16 +85,12 @@ def sample_derivatives(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.nda
     d2 = np.empty(n)
     hm = x[1:-1] - x[:-2]
     hp = x[2:] - x[1:-1]
-    d1[1:-1] = (
-        -hp / (hm * (hm + hp)) * f[:-2]
-        + (hp - hm) / (hm * hp) * f[1:-1]
-        + hm / (hp * (hm + hp)) * f[2:]
-    )
-    d2[1:-1] = 2.0 * (
-        f[:-2] / (hm * (hm + hp))
-        - f[1:-1] / (hm * hp)
-        + f[2:] / (hp * (hm + hp))
-    )
+    # divided-difference form: exactly zero on constants, which the
+    # expanded three-point weights are not on strongly graded grids
+    sm = (f[1:-1] - f[:-2]) / hm
+    sp = (f[2:] - f[1:-1]) / hp
+    d1[1:-1] = (hp * sm + hm * sp) / (hm + hp)
+    d2[1:-1] = 2.0 * (sp - sm) / (hm + hp)
     for idx, sl in ((0, slice(0, 4)), (-1, slice(-4, None))):
         x0 = x[idx]
         coeffs = np.polyfit(x[sl] - x0, f[sl], 3)

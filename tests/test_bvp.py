@@ -236,10 +236,12 @@ def test_evaluate_constant(euclidean):
 
 
 def test_evaluate_flat_paraboloid(euclidean):
+    # u = r^2/4 on the disk of radius 2: alpha_0 = u(2) = 1 and, under the
+    # package convention Delta(r^2/4) = 1, beta_0 = 1
     alpha = np.zeros(3, dtype=complex)
     beta = np.zeros(3, dtype=complex)
     alpha[1] = 1.0
-    beta[1] = 4.0
+    beta[1] = 1.0
     coeffs = wd.solve_disk_biharmonic(
         euclidean.metric, 2.0, spectrum_from_arrays(1, alpha, beta, real_valued=True)
     )

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 import warped_disk as wd
+from warped_disk import modes
 from warped_disk.geometry import RadialGrid
 from warped_disk.modes import export_mode_csv, mode_pass
 
@@ -132,6 +133,44 @@ def test_power_reduction_factor_converges(power1):
     ratios = inc[1:] / inc[:-1]
     assert np.all(ratios < 0.8)
     assert inc[-1] / z[-1] < 0.05
+
+
+# ----------------------------------------------------------------------
+# one pass over several angular frequencies
+# ----------------------------------------------------------------------
+
+def test_shared_pass_flat_closed_forms(euclidean):
+    r = np.geomspace(1e-3, 1000.0, 61)
+    mp = mode_pass(euclidean.metric, range(9), 1000.0)
+    for m in range(9):
+        lam, w, z = mp.all_values(r, m)
+        assert_allclose(lam, m * np.log(r), rtol=1e-8, atol=1e-8 * m)
+        assert_allclose(w, r / (2.0 + 2.0 * m), rtol=1e-8)
+        assert_allclose(z, r * r / (4.0 + 4.0 * m), rtol=1e-8)
+        assert_allclose(mp.lam(r, -m), lam, rtol=0.0, atol=0.0)
+
+
+def test_shared_pass_matches_single_passes(power1):
+    # sharing step control must not loosen any component: at the
+    # tolerances of biharmonic_mode's tight single-m pass, each m of the
+    # shared pass agrees with that mode within its loose/tight bound
+    grid = RadialGrid.geometric(0.05, 20.0, 41)
+    shared = mode_pass(power1.metric, range(4), grid.r_max,
+                       rtol=modes.DEFAULT_RTOL / modes._DELIVER,
+                       atol=modes.DEFAULT_ATOL / modes._DELIVER)
+    for m in range(4):
+        single = wd.biharmonic_mode(power1.metric, m, grid)
+        lam, _, z = shared.all_values(grid.nodes, m)
+        gap = np.abs(lam - single.lam) + np.abs(z - single.z) / single.z
+        assert np.all(gap <= single.quadrature_error)
+
+
+def test_pass_accessors_name_the_mode(euclidean):
+    mp = mode_pass(euclidean.metric, (1, 3), 10.0)
+    with pytest.raises(wd.DomainError):
+        mp.z(2.0)
+    with pytest.raises(wd.DomainError):
+        mp.z(2.0, 2)
 
 
 # ----------------------------------------------------------------------

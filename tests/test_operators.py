@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
@@ -213,3 +215,32 @@ def test_sample_derivatives_cubic():
     assert_allclose(d2[1:-1], 12.0 * x[1:-1] - 2.0, atol=1e-9)
     assert_allclose(d1[1:-1], 6.0 * x[1:-1] ** 2 - 2.0 * x[1:-1] + 3.0, atol=2.1 * h * h)
     assert_allclose(d1[[0, -1]], [3.0, 7.0], atol=1e-9)  # cubic endpoint fit
+
+
+_spacings = st.lists(st.floats(1e-3, 1.0), min_size=4, max_size=40)
+_coefficient = st.floats(-10.0, 10.0)
+
+
+@settings(deadline=None, derandomize=True)
+@given(_spacings, st.floats(-5.0, 5.0), _coefficient, _coefficient, _coefficient)
+def test_interior_stencils_exact_on_quadratics(spacings, x0, a, b, c):
+    x = x0 + np.concatenate(([0.0], np.cumsum(spacings)))
+    f = a + b * x + c * x * x
+    d1, d2 = sample_derivatives(x, f)
+    # rounding scale: the terms of f at the three stencil nodes, over h
+    h = np.minimum(np.diff(x)[:-1], np.diff(x)[1:])
+    terms = abs(a) + np.abs(b * x) + np.abs(c * x * x)
+    near = np.maximum.reduce([terms[:-2], terms[1:-1], terms[2:]])
+    tol = 64.0 * np.finfo(float).eps
+    slope = b + 2.0 * c * x[1:-1]
+    assert np.all(np.abs(d1[1:-1] - slope) <= tol * (near / h + abs(b) + np.abs(2.0 * c * x[1:-1])))
+    assert np.all(np.abs(d2[1:-1] - 2.0 * c) <= tol * (near / (h * h) + abs(c)))
+
+
+@settings(deadline=None, derandomize=True)
+@given(_spacings, st.floats(-5.0, 5.0), st.floats(-1e6, 1e6))
+def test_interior_stencils_zero_on_constants(spacings, x0, value):
+    x = x0 + np.concatenate(([0.0], np.cumsum(spacings)))
+    d1, d2 = sample_derivatives(x, np.full(x.size, value))
+    assert np.all(d1[1:-1] == 0.0)
+    assert np.all(d2[1:-1] == 0.0)
