@@ -15,7 +15,6 @@ from .asymptotics import (
     RIGID,
     UNDETERMINED,
     ClassificationReport,
-    classify_biharmonic,
     classify_harmonic,
     classify_surface,
     estimate_log_derivative_limit,
@@ -57,9 +56,7 @@ from .modes import (
     LogMode,
     biharmonic_mode,
     comparison_tail_product,
-    harmonic_log_mode,
     mean_integral_ratio,
-    reduction_factor,
     verify_mode_residuals,
 )
 from .operators import RadialFunctionSamples, radial_laplacian_apply, sturm_compare

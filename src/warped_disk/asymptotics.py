@@ -55,7 +55,6 @@ __all__ = [
     "fit_tail_exponent",
     "numeric_evidence",
     "classify_harmonic",
-    "classify_biharmonic",
     "classify_surface",
     "export_report",
 ]
@@ -529,11 +528,6 @@ def classify_surface(
 def classify_harmonic(obj, horizon: float = DEFAULT_HORIZON, m_set=(1, 2, 3)) -> str:
     """Harmonic regime label: parabolic, hyperbolic, or undetermined."""
     return classify_surface(obj, horizon=horizon, m_set=m_set).harmonic_regime
-
-
-def classify_biharmonic(obj, horizon: float = DEFAULT_HORIZON, m_set=(1, 2, 3)) -> str:
-    """Biharmonic regime label per the covered curvature bands."""
-    return classify_surface(obj, horizon=horizon, m_set=m_set).biharmonic_regime
 
 
 # ----------------------------------------------------------------------

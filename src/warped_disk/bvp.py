@@ -25,13 +25,13 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from ._util import fmt17, write_csv
+from ._util import write_csv
 from .errors import AliasingWarning, DomainError
 from .geometry import MetricProfile, RadialGrid
 from .modes import mode_pass
-from .operators import sample_derivatives
+from .operators import sample_derivatives  # noqa: F401 -- patched by benchmarks/tracing.py
+from .operators import separated_laplacian
 
 __all__ = [
     "BoundaryTrace",
@@ -50,11 +50,6 @@ __all__ = [
 
 ALIASING_ENERGY_FRACTION = 1e-8
 _LOG_FORM_THRESHOLD = 500.0   # switch coefficients to log-magnitude form
-_MODE_GRID_POINTS = 3200
-# Mode interpolants start at this fraction of R; below it the modes are
-# within O(r_inner^2) of their origin power laws, which the table
-# extends analytically.
-_MODE_GRID_INNER = 1e-2
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -218,83 +213,8 @@ def synthesize_trace(spectrum: FourierSpectrum, radius: float, n: int) -> Bounda
 
 
 # ----------------------------------------------------------------------
-# per-mode tables and the solve
+# the solve
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _ModeTable:
-    """Monotone cubic interpolants of Lambda_m and z in log r, per |m|.
-
-    ``dense`` keeps the dense quadrature solution of all |m| for
-    verification, which must not inherit interpolation error.
-    """
-
-    radius: float
-    r_inner: float
-    lam_interp: tuple
-    z_interp: tuple
-    lam_at_radius: np.ndarray
-    z_at_radius: np.ndarray
-    grid: RadialGrid
-    dense: object   # the shared mode pass over |m| = 0 .. m_max
-
-    def lam(self, m: int, r):
-        r = np.asarray(r, dtype=float)
-        am = abs(m)
-        lam_r = self.lam_interp[am](np.log(np.maximum(r, self.r_inner)))
-        small = r < self.r_inner
-        if np.any(small):
-            # below the table: phi_m ~ (r/r_inner)^|m| phi_m(r_inner)
-            lam_r = np.where(
-                small,
-                self.lam_interp[am](math.log(self.r_inner))
-                + am * (np.log(np.maximum(r, 1e-300)) - math.log(self.r_inner)),
-                lam_r,
-            )
-        return lam_r
-
-    def z(self, m: int, r):
-        r = np.asarray(r, dtype=float)
-        am = abs(m)
-        z_r = self.z_interp[am](np.log(np.maximum(r, self.r_inner)))
-        small = r < self.r_inner
-        if np.any(small):
-            z_r = np.where(
-                small,
-                self.z_interp[am](math.log(self.r_inner))
-                * (np.maximum(r, 0.0) / self.r_inner) ** 2,
-                z_r,
-            )
-        return z_r
-
-
-def _build_mode_table(profile: MetricProfile, radius: float, m_max: int,
-                      rtol: float, atol: float) -> _ModeTable:
-    r_inner = max(_MODE_GRID_INNER * radius, 4e-5)
-    grid = RadialGrid.geometric(r_inner, radius, _MODE_GRID_POINTS)
-    log_nodes = np.log(grid.nodes)
-    lam_interp = []
-    z_interp = []
-    lam_r = np.empty(m_max + 1)
-    z_r = np.empty(m_max + 1)
-    mp = mode_pass(profile, range(m_max + 1), radius, rtol=rtol, atol=atol)
-    for am in range(m_max + 1):
-        lam, _, z = mp.all_values(grid.nodes, am)
-        lam_interp.append(PchipInterpolator(log_nodes, lam, extrapolate=True))
-        z_interp.append(PchipInterpolator(log_nodes, z, extrapolate=True))
-        lam_r[am] = lam[-1]
-        z_r[am] = z[-1]
-    return _ModeTable(
-        radius=float(radius),
-        r_inner=float(r_inner),
-        lam_interp=tuple(lam_interp),
-        z_interp=tuple(z_interp),
-        lam_at_radius=lam_r,
-        z_at_radius=z_r,
-        grid=grid,
-        dense=mp,
-    )
-
 
 @dataclass(frozen=True)
 class ModeCoefficients:
@@ -305,6 +225,9 @@ class ModeCoefficients:
     entries are flagged in ``underflow`` and their magnitudes kept in
     ``log_c_mag``/``log_d_mag`` (natural log, with phases in the complex
     entries). ``conditioning`` holds psi_m(R)/phi_m(R) = z(R) per |m|.
+
+    The radial factors come from one dense mode pass over |m| = 0 .. m_max
+    on (t0, R], which evaluation and verification read directly.
     """
 
     m_max: int
@@ -317,7 +240,7 @@ class ModeCoefficients:
     conditioning: np.ndarray
     spectrum: FourierSpectrum
     real_valued: bool
-    _table: _ModeTable = field(repr=False)
+    _modes: object = field(repr=False)   # the shared mode pass
 
     def index(self, m: int) -> int:
         if abs(m) > self.m_max:
@@ -353,7 +276,8 @@ def solve_disk_biharmonic(
     """
     radius = profile.require_radius(radius)
     m_max = spectrum.m_max
-    table = _build_mode_table(profile, radius, m_max, rtol, atol)
+    mp = mode_pass(profile, range(m_max + 1), radius, rtol=rtol, atol=atol)
+    lam_at_radius, z_at_radius = mp.lam_z(radius)
     size = 2 * m_max + 1
     c = np.zeros(size, dtype=complex)
     d = np.zeros(size, dtype=complex)
@@ -365,8 +289,8 @@ def solve_disk_biharmonic(
     for m in range(-m_max, m_max + 1):
         i = m + m_max
         am = abs(m)
-        lam_r = float(table.lam_at_radius[am])
-        z_r = float(table.z_at_radius[am])
+        lam_r = float(lam_at_radius[am])
+        z_r = float(z_at_radius[am])
         alpha_m, beta_m = spectrum.pair(m)
         conditioning[i] = z_r
         c_resid = alpha_m - beta_m * z_r
@@ -398,7 +322,7 @@ def solve_disk_biharmonic(
         conditioning=conditioning,
         spectrum=spectrum,
         real_valued=spectrum.real_valued,
-        _table=table,
+        _modes=mp,
     )
 
 
@@ -407,8 +331,10 @@ def evaluate_solution(
 ):
     """Partial-sum value of the disk solution at (r, theta), r <= R.
 
-    Radial factors are interpolated between mode-grid nodes by monotone
-    cubics of Lambda_m and z. Requests beyond the disk are refused.
+    Radial factors are read from the dense mode pass, one read for all m.
+    Below the pass's start t0 they follow its origin seed, Lambda_m(t0)
+    + |m| log(r/t0) and z(t0) (r/t0)^2. Requests beyond the disk are
+    refused.
     """
     r = float(r)
     if r > coeffs.radius * (1.0 + 1e-12):
@@ -416,7 +342,13 @@ def evaluate_solution(
     r = min(r, coeffs.radius)
     if r < 0.0:
         raise DomainError("radius must be nonnegative")
-    table = coeffs._table
+    mp = coeffs._modes
+    if r > 0.0:
+        t = max(r, mp.t0)
+        lam, z = mp.lam_z(t)
+        if r < t:
+            lam = lam + np.arange(coeffs.m_max + 1) * math.log(r / t)
+            z = z * (r / t) ** 2
     total = 0.0 + 0.0j
     for m in range(-coeffs.m_max, coeffs.m_max + 1):
         cm, dm = coeffs.pair(m)
@@ -425,12 +357,10 @@ def evaluate_solution(
         if r == 0.0:
             if m != 0:
                 continue
-            lam = table.lam(0, table.r_inner)  # Lambda_0 = 0
-            radial = cm + dm * 0.0
+            radial = cm + dm * 0.0   # phi_0(0) = 1, z(0) = 0
         else:
-            lam = float(table.lam(m, r))
-            z = float(table.z(m, r))
-            radial = (cm + dm * z) * math.exp(min(lam, 700.0))
+            am = abs(m)
+            radial = (cm + dm * float(z[am])) * math.exp(min(float(lam[am]), 700.0))
         total += radial * cmath.exp(1j * m * theta)
     if coeffs.real_valued:
         return float(total.real)
@@ -467,7 +397,7 @@ def verify_disk_solution(
         raise DomainError("verification grid must stay inside (0, R]")
     if x[-1] > coeffs.radius * (1.0 + 1e-12):
         raise DomainError("verification grid extends beyond the disk")
-    table = coeffs._table
+    mp = coeffs._modes
     v = np.asarray(profile.dlog_phi(x), dtype=float)
     phi = np.asarray(profile.phi(x), dtype=float)
 
@@ -478,14 +408,12 @@ def verify_disk_solution(
     for m in range(-coeffs.m_max, coeffs.m_max + 1):
         cm, dm = coeffs.pair(m)
         am = abs(m)
-        lam, _, z = table.dense.all_values(x, am)
+        lam, _, z = mp.all_values(x, am)
         phim = np.exp(np.minimum(lam, 700.0))
         fm = (cm + dm * z) * phim
-        d1r, d2r = sample_derivatives(x, fm.real)
-        res = (d2r + v * d1r - (am * am) / (phi * phi) * fm.real) - dm.real * phim
+        res = separated_laplacian(m, x, fm.real, v, phi=phi) - dm.real * phim
         if np.iscomplexobj(fm) and (abs(cm.imag) > 0 or abs(dm.imag) > 0):
-            d1i, d2i = sample_derivatives(x, fm.imag)
-            res_im = (d2i + v * d1i - (am * am) / (phi * phi) * fm.imag) - dm.imag * phim
+            res_im = separated_laplacian(m, x, fm.imag, v, phi=phi) - dm.imag * phim
             res = res + 1j * res_im
         scale = max(1.0, float(np.max(np.abs(fm))))
         scaled = np.abs(res[1:-1]) / scale
@@ -496,11 +424,12 @@ def verify_disk_solution(
 
     bu = 0.0
     bl = 0.0
+    lam_at_radius, z_at_radius = mp.lam_z(coeffs.radius)
     for m in range(-coeffs.m_max, coeffs.m_max + 1):
         cm, dm = coeffs.pair(m)
         am = abs(m)
-        lam_r = float(coeffs._table.lam_at_radius[am])
-        z_r = float(coeffs._table.z_at_radius[am])
+        lam_r = float(lam_at_radius[am])
+        z_r = float(z_at_radius[am])
         alpha_m, beta_m = coeffs.spectrum.pair(m)
         phim = math.exp(min(lam_r, 700.0))
         bu += abs((cm + dm * z_r) * phim - alpha_m)
@@ -557,11 +486,8 @@ def write_trace_csv(path, trace: BoundaryTrace) -> None:
 
 def write_coefficients_csv(path, coeffs: ModeCoefficients) -> None:
     """Coefficient output: m, re_c, im_c, re_d, im_d."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "re_c", "im_c", "re_d", "im_d"])
-        for m in range(-coeffs.m_max, coeffs.m_max + 1):
-            cm, dm = coeffs.pair(m)
-            writer.writerow(
-                [m, fmt17(cm.real), fmt17(cm.imag), fmt17(dm.real), fmt17(dm.imag)]
-            )
+    rows = []
+    for m in range(-coeffs.m_max, coeffs.m_max + 1):
+        cm, dm = coeffs.pair(m)
+        rows.append((m, cm.real, cm.imag, dm.real, dm.imag))
+    write_csv(path, ["m", "re_c", "im_c", "re_d", "im_d"], rows)

@@ -216,10 +216,7 @@ def cmd_modes(cfg: RunConfig) -> int:
     print("m  max_scaled_residual_eq4  max_scaled_residual_eq6  file")
     for m in range(0, cfg.m_max + 1):
         bmode = modes.biharmonic_mode(surface.metric, m, grid, rtol=cfg.rtol, atol=cfg.atol)
-        lmode = modes.LogMode(
-            m=m, grid=grid, lam=bmode.lam.copy(), quadrature_error=bmode.quadrature_error.copy()
-        )
-        rep4 = modes.verify_mode_residuals(surface.metric, lmode)
+        rep4 = modes.verify_mode_residuals(surface.metric, bmode.harmonic())
         rep6 = modes.verify_mode_residuals(surface.metric, bmode)
         path = out / f"mode_{m}.csv"
         modes.export_mode_csv(path, bmode)

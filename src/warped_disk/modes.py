@@ -33,14 +33,13 @@ from scipy.integrate import quad, solve_ivp
 from ._util import write_csv
 from .errors import DomainError, QuadratureError
 from .geometry import MetricProfile, RadialGrid
-from .operators import sample_derivatives
+from .operators import sample_derivatives  # noqa: F401 -- patched by benchmarks/tracing.py
+from .operators import separated_laplacian
 
 __all__ = [
     "LogMode",
     "BiharmonicMode",
     "ResidualReport",
-    "harmonic_log_mode",
-    "reduction_factor",
     "biharmonic_mode",
     "verify_mode_residuals",
     "mean_integral_ratio",
@@ -95,7 +94,11 @@ class LogMode:
 
 @dataclass(frozen=True)
 class BiharmonicMode:
-    """Reduction factor z and log psi_m = Lambda_m + log z on a grid."""
+    """The mode pair phi_m, psi_m = z phi_m as Lambda_m, z and log psi_m on a grid.
+
+    ``quadrature_error`` bounds log psi_m per node; ``lam_error`` bounds
+    Lambda_m alone and is what ``harmonic()`` reports.
+    """
 
     m: int
     grid: RadialGrid
@@ -103,6 +106,7 @@ class BiharmonicMode:
     z: np.ndarray
     log_psi: np.ndarray
     quadrature_error: np.ndarray
+    lam_error: np.ndarray
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=float)
@@ -110,7 +114,7 @@ class BiharmonicMode:
             raise DomainError("the reduction factor is positive for r > 0")
         if np.any(np.diff(z) < -1e-12 * z[:-1]):
             raise DomainError("the reduction factor is nondecreasing")
-        for name in ("lam", "z", "log_psi", "quadrature_error"):
+        for name in ("lam", "z", "log_psi", "quadrature_error", "lam_error"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != self.grid.nodes.shape:
                 raise DomainError("mode arrays must match the grid length")
@@ -120,6 +124,10 @@ class BiharmonicMode:
     def psi_values(self) -> np.ndarray:
         with np.errstate(over="ignore"):
             return np.exp(self.log_psi)
+
+    def harmonic(self) -> LogMode:
+        """The harmonic mode phi_m of the pair, with the Lambda_m-only bound."""
+        return LogMode(m=self.m, grid=self.grid, lam=self.lam, quadrature_error=self.lam_error)
 
 
 # ----------------------------------------------------------------------
@@ -245,6 +253,12 @@ class _ModePass:
         out = self._states(r)
         return self._lam(out, k), np.exp(out[1 + k]), out[1 + len(self.ms) + k]
 
+    def lam_z(self, r):
+        """(Lambda_m, z_m) at the radii r for every |m| in ``ms``, from one dense read."""
+        out = self._states(r)
+        n = len(self.ms)
+        return np.array([self._lam(out, k) for k in range(n)]), out[1 + n:]
+
 
 def _paired_passes(profile, m, grid: RadialGrid, rtol, atol):
     """Requested-accuracy and tightened passes; the gap estimates the error."""
@@ -280,47 +294,6 @@ def _checked(values_tight, values_loose, magnitude, rtol, atol, nodes, what):
     return np.maximum(err, floor)
 
 
-def harmonic_log_mode(
-    profile: MetricProfile,
-    m: int,
-    grid: RadialGrid,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> LogMode:
-    """Compute Lambda_m = |m| * integral_1^r ds/phi on the grid.
-
-    The integral is signed (negative for r < 1) and normalized so that
-    phi_m(1) = 1. Per-node error bounds come from comparing the
-    requested-tolerance pass against one two orders tighter.
-    """
-    nodes = grid.nodes
-    if m == 0:
-        zeros = np.zeros_like(nodes)
-        return LogMode(m=0, grid=grid, lam=zeros, quadrature_error=zeros.copy())
-    loose, tight = _paired_passes(profile, m, grid, rtol, atol)
-    lam_t = tight.lam(nodes)
-    magnitude = np.abs(lam_t) + abs(tight.lam_at_one)
-    err = _checked(lam_t, loose.lam(nodes), magnitude, rtol, atol, nodes,
-                   f"Lambda_{m} quadrature")
-    return LogMode(m=int(m), grid=grid, lam=lam_t, quadrature_error=err)
-
-
-def reduction_factor(
-    profile: MetricProfile,
-    m: int,
-    grid: RadialGrid,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node values of the reduction factor z with error bounds."""
-    nodes = grid.nodes
-    loose, tight = _paired_passes(profile, m, grid, rtol, atol)
-    z_t = tight.z(nodes)
-    err = _checked(z_t, loose.z(nodes), z_t, rtol, atol, nodes,
-                   f"reduction factor quadrature (m={m})")
-    return z_t, err
-
-
 def biharmonic_mode(
     profile: MetricProfile,
     m: int,
@@ -328,7 +301,13 @@ def biharmonic_mode(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> BiharmonicMode:
-    """Compute psi_m = z * phi_m as (Lambda_m, z, log psi_m) on the grid."""
+    """Compute phi_m and psi_m = z * phi_m as (Lambda_m, z, log psi_m) on the grid.
+
+    Lambda_m = |m| * integral_1^r ds/phi is signed (negative for r < 1)
+    and normalized so that phi_m(1) = 1. Per-node error bounds come from
+    comparing the requested-tolerance pass against one two orders
+    tighter; ``harmonic()`` gives phi_m alone with its own bound.
+    """
     nodes = grid.nodes
     loose, tight = _paired_passes(profile, m, grid, rtol, atol)
     lam_t, _, z_t = tight.all_values(nodes)
@@ -346,6 +325,7 @@ def biharmonic_mode(
         z=z_t,
         log_psi=lam_t + np.log(z_t),
         quadrature_error=err_lam + err_z / np.maximum(z_t, 1e-300),
+        lam_error=np.zeros_like(lam_t) if m == 0 else err_lam,
     )
 
 
@@ -408,9 +388,8 @@ def verify_mode_residuals(profile: MetricProfile, mode) -> ResidualReport:
     """Check a computed mode against the separated Laplacian stencils.
 
     Small modes are differenced in linear space (the stencils are then
-    exact on low-degree polynomial modes); large ones in log space,
-    where L_m f / f = g'' + g'^2 + (phi'/phi) g' - m^2/phi^2 for g = log f
-    stays representable.
+    exact on low-degree polynomial modes); large ones through the log
+    form of ``separated_laplacian``, which stays representable.
     """
     x = mode.grid.nodes
     if x.size < 5:
@@ -427,24 +406,19 @@ def verify_mode_residuals(profile: MetricProfile, mode) -> ResidualReport:
         equation = "harmonic"
         if np.max(lam) <= _LINEAR_LAM_CAP:
             f = np.exp(lam)
-            d1, d2 = sample_derivatives(x, f)
-            res = np.abs(d2 + v * d1 - (m * m) / (phi * phi) * f) / np.maximum(1.0, f)
+            res = np.abs(separated_laplacian(m, x, f, v, phi=phi)) / np.maximum(1.0, f)
         else:
-            d1, d2 = sample_derivatives(x, lam)
-            log_res = d2 + d1 * d1 + v * d1 - (m * m) / np.exp(2.0 * np.minimum(profile.log_phi(x), 350.0))
-            res = np.abs(log_res) * weight
+            log_phi = np.asarray(profile.log_phi(x), dtype=float)
+            res = np.abs(separated_laplacian(m, x, lam, v, log_phi=log_phi)) * weight
     elif isinstance(mode, BiharmonicMode):
         equation = "biharmonic"
         if np.max(mode.log_psi) <= _LINEAR_LAM_CAP and np.max(lam) <= _LINEAR_LAM_CAP:
             psi = np.exp(mode.log_psi)
             f = np.exp(lam)
-            d1, d2 = sample_derivatives(x, psi)
-            res = np.abs(d2 + v * d1 - (m * m) / (phi * phi) * psi - f) / np.maximum(1.0, f)
+            res = np.abs(separated_laplacian(m, x, psi, v, phi=phi) - f) / np.maximum(1.0, f)
         else:
-            g = mode.log_psi
-            d1, d2 = sample_derivatives(x, g)
             log_phi = np.asarray(profile.log_phi(x), dtype=float)
-            ratio = d2 + d1 * d1 + v * d1 - (m * m) * np.exp(-2.0 * np.minimum(log_phi, 350.0))
+            ratio = separated_laplacian(m, x, mode.log_psi, v, log_phi=log_phi)
             # (L psi - phi_m)/max(1, phi_m) = (z * L psi / psi - 1) * weight
             res = np.abs(mode.z * ratio - 1.0) * weight
     else:

@@ -5,8 +5,9 @@ The Laplacian of a separated function f(r) e^{i m theta} reduces to
     L_m f = f'' + (phi'/phi) f' - (m^2/phi^2) f.
 
 This module applies L_m to sampled radial functions with three-point
-finite differences (exact on quadratics, second order on uniform grids)
-and provides a sample-based checker for the Sturm comparison lemma:
+finite differences (exact on quadratics, second order on uniform grids),
+in linear form or, for g = log f of a positive f that may overflow, as
+L_m f / f = g'' + g'^2 + (phi'/phi) g' - m^2/phi^2. It also provides a sample-based checker for the Sturm comparison lemma:
 if f''/f <= h''/h on r > a and f'/f <= h'/h at a, then f'/f <= h'/h on
 r > a.
 """
@@ -24,6 +25,7 @@ from .geometry import MetricProfile, RadialGrid
 __all__ = [
     "RadialFunctionSamples",
     "SturmReport",
+    "separated_laplacian",
     "radial_laplacian_apply",
     "sturm_compare",
     "sample_derivatives",
@@ -99,6 +101,25 @@ def sample_derivatives(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.nda
     return d1, d2
 
 
+def separated_laplacian(
+    m: int, x: np.ndarray, f: np.ndarray, dlog_phi: np.ndarray,
+    phi: np.ndarray | None = None, log_phi: np.ndarray | None = None,
+) -> np.ndarray:
+    """L_m applied to samples on the nodes x, the one place L_m is coded.
+
+    ``dlog_phi`` holds phi'/phi on the nodes. Given ``phi``, f holds
+    linear samples and the result is L_m f. Given ``log_phi`` instead, f
+    holds g = log f and the result is L_m f / f = g'' + g'^2 +
+    (phi'/phi) g' - m^2/phi^2, which stays representable where f
+    overflows.
+    """
+    d1, d2 = sample_derivatives(x, f)
+    if log_phi is not None:
+        return d2 + d1 * d1 + dlog_phi * d1 - (m * m) * np.exp(-2.0 * np.minimum(log_phi, 350.0))
+    with np.errstate(over="ignore"):  # phi^2 = inf gives m^2/phi^2 = 0, its limit
+        return d2 + dlog_phi * d1 - (m * m) / (phi * phi) * f
+
+
 def radial_laplacian_apply(
     profile: MetricProfile, m: int, f: RadialFunctionSamples
 ) -> RadialFunctionSamples:
@@ -122,10 +143,9 @@ def radial_laplacian_apply(
     vals = f.linear_values()
     if not np.all(np.isfinite(vals)):
         raise DomainError("samples must be finite")
-    d1, d2 = sample_derivatives(x, vals)
     v = np.asarray(profile.dlog_phi(x), dtype=float)
     phi = np.asarray(profile.phi(x), dtype=float)
-    out = d2 + v * d1 - (m * m) / (phi * phi) * vals
+    out = separated_laplacian(m, x, vals, v, phi=phi)
     return RadialFunctionSamples(grid=grid, values=out, representation="linear")
 
 

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import warped_disk as wd
@@ -301,7 +303,31 @@ def test_evaluate_against_dense_synthesis(hyperbolic):
         for i, m in enumerate(range(-m_max, m_max + 1)):
             lam, _, z = passes[abs(m)].all_values(np.array([max(r, 2.1e-5)]))
             exact += (c[i] + d[i] * z[0]) * np.exp(lam[0]) * np.exp(1j * m * theta)
-        assert abs(value - exact) < 1e-5
+        assert abs(value - exact) < 1e-8
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.booleans(), st.integers(0, 4), st.floats(0.5, 3.0), st.booleans(), st.data())
+def test_band_limited_spectrum_survives_solve_and_evaluation(
+    euclidean, hyperbolic, flat, m_max, radius, real, data
+):
+    # the solution evaluated on the rim reproduces the boundary trace
+    size = 2 * m_max + 1
+    parts = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=4 * size, max_size=4 * size))
+    re_a, im_a, re_b, im_b = np.reshape(parts, (4, size))
+    alpha = re_a + 1j * im_a
+    beta = re_b + 1j * im_b
+    if real:  # conjugate-symmetric, so the trace is real
+        alpha = alpha + np.conj(alpha[::-1])
+        beta = beta + np.conj(beta[::-1])
+    spec = spectrum_from_arrays(m_max, alpha, beta, real_valued=real)
+    metric = (euclidean if flat else hyperbolic).metric
+    coeffs = wd.solve_disk_biharmonic(metric, radius, spec)
+    trace = wd.synthesize_trace(spec, radius, 16)
+    values = np.array([wd.evaluate_solution(metric, coeffs, radius, theta)
+                       for theta in trace.theta_nodes])
+    scale = float(np.max(np.abs(trace.u_values)))
+    assert np.max(np.abs(values - trace.u_values)) <= 1e-9 * scale
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,11 @@
-from warped_disk import cli
+import math
+
+import numpy as np
+import pytest
+
+from warped_disk import bvp, cli
+
+POWER = ["--profile", "power-curvature", "--eps", "1", "--mmax", "2"]
 
 
 def test_verify_infeasible_tolerance_has_its_own_exit_code(tmp_path):
@@ -8,10 +15,23 @@ def test_verify_infeasible_tolerance_has_its_own_exit_code(tmp_path):
     assert "tolerance-infeasible" in (tmp_path / "verify_report.txt").read_text()
 
 
-def test_classify_outputs_are_byte_identical_across_runs(tmp_path):
-    argv = ["classify", "--profile", "power-curvature", "--eps", "1",
-            "--horizon", "100", "--rmax", "120", "--mmax", "2"]
+@pytest.mark.parametrize("argv, names", [
+    pytest.param(["classify", *POWER, "--horizon", "100", "--rmax", "120"],
+                 ("classification.txt", "evidence.csv"), id="classify"),
+    pytest.param(["modes", *POWER, "--horizon", "5", "--rmax", "10",
+                  "--grid", "geometric,1e-3,128"],
+                 ("mode_0.csv", "mode_1.csv", "mode_2.csv"), id="modes"),
+    pytest.param(["bvp", *POWER, "--radius", "3"],
+                 ("coefficients.csv", "bvp_report.txt"), id="bvp"),
+])
+def test_outputs_are_byte_identical_across_runs(tmp_path, argv, names):
+    if argv[0] == "bvp":
+        theta = 2.0 * math.pi * np.arange(64) / 64
+        trace = bvp.BoundaryTrace(3.0, np.cos(theta) + 0.5 * np.sin(2.0 * theta),
+                                  0.25 - np.cos(theta))
+        bvp.write_trace_csv(tmp_path / "trace.csv", trace)
+        argv = [*argv, str(tmp_path / "trace.csv")]
     for run in ("a", "b"):
         assert cli.main(argv + ["--out", str(tmp_path / run)]) == cli.EXIT_OK
-    for name in ("classification.txt", "evidence.csv"):
+    for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

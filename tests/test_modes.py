@@ -19,27 +19,28 @@ TIGHT = dict(rtol=1e-10, atol=1e-12)
 
 def test_flat_mode_is_power(euclidean):
     grid = RadialGrid.geometric(0.1, 10.0, 201)
-    mode = wd.harmonic_log_mode(euclidean.metric, 3, grid, **TIGHT)
+    mode = wd.biharmonic_mode(euclidean.metric, 3, grid, **TIGHT).harmonic()
     assert_allclose(mode.lam, 3.0 * np.log(grid.nodes), atol=1e-8)
 
 
 def test_zero_mode_is_trivial(euclidean):
     grid = RadialGrid.geometric(0.1, 10.0, 31)
-    mode = wd.harmonic_log_mode(euclidean.metric, 0, grid)
+    mode = wd.biharmonic_mode(euclidean.metric, 0, grid).harmonic()
     assert np.all(mode.lam == 0.0)
+    assert np.all(mode.quadrature_error == 0.0)
 
 
 def test_mode_symmetry_in_m(hyperbolic):
     grid = RadialGrid.geometric(0.5, 8.0, 61)
-    plus = wd.harmonic_log_mode(hyperbolic.metric, 2, grid)
-    minus = wd.harmonic_log_mode(hyperbolic.metric, -2, grid)
+    plus = wd.biharmonic_mode(hyperbolic.metric, 2, grid).harmonic()
+    minus = wd.biharmonic_mode(hyperbolic.metric, -2, grid).harmonic()
     assert_allclose(plus.lam, minus.lam, rtol=0.0, atol=0.0)
 
 
 def test_hyperbolic_mode_closed_form(hyperbolic):
     # integral of ds/sinh s from 1 to r is log tanh(r/2) - log tanh(1/2)
     grid = RadialGrid.geometric(0.25, 30.0, 121)
-    mode = wd.harmonic_log_mode(hyperbolic.metric, 1, grid, **TIGHT)
+    mode = wd.biharmonic_mode(hyperbolic.metric, 1, grid, **TIGHT).harmonic()
     exact = np.log(np.tanh(grid.nodes / 2.0)) - math.log(math.tanh(0.5))
     assert_allclose(mode.lam, exact, atol=1e-8)
 
@@ -47,19 +48,19 @@ def test_hyperbolic_mode_closed_form(hyperbolic):
 def test_mode_normalized_at_one(euclidean, hyperbolic):
     grid = RadialGrid(np.array([0.5, 0.75, 1.0, 2.0, 3.0]), spacing="uniform")
     for surface in (euclidean, hyperbolic):
-        mode = wd.harmonic_log_mode(surface.metric, 2, grid)
+        mode = wd.biharmonic_mode(surface.metric, 2, grid).harmonic()
         assert abs(mode.lam[2]) < 1e-10
 
 
 def test_mode_monotone(log_threshold):
     grid = RadialGrid.geometric(0.5, 100.0, 101)
-    mode = wd.harmonic_log_mode(log_threshold.metric, 3, grid)
+    mode = wd.biharmonic_mode(log_threshold.metric, 3, grid).harmonic()
     assert np.all(np.diff(mode.lam) >= -1e-12)
 
 
 def test_error_bounds_are_conservative(euclidean):
     grid = RadialGrid.geometric(0.1, 10.0, 101)
-    mode = wd.harmonic_log_mode(euclidean.metric, 5, grid, **TIGHT)
+    mode = wd.biharmonic_mode(euclidean.metric, 5, grid, **TIGHT).harmonic()
     actual = np.abs(mode.lam - 5.0 * np.log(grid.nodes))
     assert np.all(actual <= mode.quadrature_error + 1e-11)
 
@@ -68,13 +69,13 @@ def test_mode_grid_beyond_profile_raises(euclidean):
     prof = wd.profile_from_curvature(lambda r: 0.0, r_max=2.0)
     grid = RadialGrid.geometric(0.5, 5.0, 21)
     with pytest.raises(wd.DomainError):
-        wd.harmonic_log_mode(prof, 1, grid)
+        wd.biharmonic_mode(prof, 1, grid).harmonic()
 
 
 def test_mode_rejects_nonpositive_grid_start(euclidean):
     grid = RadialGrid.uniform(0.0, 2.0, 21)
     with pytest.raises(wd.DomainError):
-        wd.harmonic_log_mode(euclidean.metric, 1, grid)
+        wd.biharmonic_mode(euclidean.metric, 1, grid).harmonic()
 
 
 # ----------------------------------------------------------------------
@@ -83,14 +84,14 @@ def test_mode_rejects_nonpositive_grid_start(euclidean):
 
 def test_flat_reduction_factor_m0(euclidean):
     grid = RadialGrid.geometric(0.1, 10.0, 101)
-    z, err = wd.reduction_factor(euclidean.metric, 0, grid, **TIGHT)
-    assert_allclose(z, grid.nodes**2 / 4.0, rtol=1e-6)
-    assert np.all(err >= 0.0)
+    mode = wd.biharmonic_mode(euclidean.metric, 0, grid, **TIGHT)
+    assert_allclose(mode.z, grid.nodes**2 / 4.0, rtol=1e-6)
+    assert np.all(mode.quadrature_error >= 0.0)
 
 
 def test_flat_reduction_factor_m1(euclidean):
     grid = RadialGrid.geometric(0.1, 10.0, 101)
-    z, _ = wd.reduction_factor(euclidean.metric, 1, grid, **TIGHT)
+    z = wd.biharmonic_mode(euclidean.metric, 1, grid, **TIGHT).z
     assert_allclose(z, grid.nodes**2 / 8.0, rtol=1e-6)
 
 
@@ -204,7 +205,7 @@ def test_mean_integral_ratio_power_decay(power1):
 
 def test_residuals_flat_mode_exact(euclidean):
     grid = RadialGrid.uniform(1.0, 2.0, 101)
-    mode = wd.harmonic_log_mode(euclidean.metric, 1, grid, **TIGHT)
+    mode = wd.biharmonic_mode(euclidean.metric, 1, grid, **TIGHT).harmonic()
     rep = wd.verify_mode_residuals(euclidean.metric, mode)
     assert rep.equation == "harmonic"
     assert rep.max_scaled < 1e-8
@@ -222,7 +223,7 @@ def test_residuals_shrink_second_order(hyperbolic):
     maxima = []
     for n in (51, 101, 201):
         grid = RadialGrid.uniform(1.0, 2.0, n)
-        mode = wd.harmonic_log_mode(hyperbolic.metric, 1, grid, **TIGHT)
+        mode = wd.biharmonic_mode(hyperbolic.metric, 1, grid, **TIGHT).harmonic()
         maxima.append(wd.verify_mode_residuals(hyperbolic.metric, mode).max_scaled)
     assert 3.5 <= maxima[0] / maxima[1] <= 4.5
     assert 3.5 <= maxima[1] / maxima[2] <= 4.5
@@ -232,7 +233,7 @@ def test_residuals_log_path_for_huge_modes(euclidean):
     # flat modes with large m overflow doubles (Lambda = m log r > 709)
     # and the verification must go through the log-space identity
     grid = RadialGrid.uniform(300.0, 600.0, 201)
-    mode = wd.harmonic_log_mode(euclidean.metric, 130, grid)
+    mode = wd.biharmonic_mode(euclidean.metric, 130, grid).harmonic()
     assert np.max(mode.lam) > 709.0
     assert np.any(np.isinf(mode.phi_values()))
     rep = wd.verify_mode_residuals(euclidean.metric, mode)
