@@ -56,7 +56,6 @@ from .modes import (
     LogMode,
     biharmonic_mode,
     comparison_tail_product,
-    mean_integral_ratio,
     verify_mode_residuals,
 )
 from .operators import RadialFunctionSamples, radial_laplacian_apply, sturm_compare

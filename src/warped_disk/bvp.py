@@ -400,6 +400,7 @@ def verify_disk_solution(
     mp = coeffs._modes
     v = np.asarray(profile.dlog_phi(x), dtype=float)
     phi = np.asarray(profile.phi(x), dtype=float)
+    lam, z = mp.lam_z(x)
 
     per_mode = {}
     worst = 0.0
@@ -408,9 +409,8 @@ def verify_disk_solution(
     for m in range(-coeffs.m_max, coeffs.m_max + 1):
         cm, dm = coeffs.pair(m)
         am = abs(m)
-        lam, _, z = mp.all_values(x, am)
-        phim = np.exp(np.minimum(lam, 700.0))
-        fm = (cm + dm * z) * phim
+        phim = np.exp(np.minimum(lam[am], 700.0))
+        fm = (cm + dm * z[am]) * phim
         res = separated_laplacian(m, x, fm.real, v, phi=phi) - dm.real * phim
         if np.iscomplexobj(fm) and (abs(cm.imag) > 0 or abs(dm.imag) > 0):
             res_im = separated_laplacian(m, x, fm.imag, v, phi=phi) - dm.imag * phim

@@ -73,32 +73,24 @@ class RunConfig:
             raise DomainError("disk radius must be positive")
 
 
-_CONFIG_SCHEMA = {
-    "profile": {"name": str, "eps": float, "eta": float, "r0": float, "r_max": float},
-    "grid": {"kind": str, "r_min": float, "n": int},
-    "asymptotics": {"horizon": float, "m_max": int},
-    "bvp": {"radius": float, "m_max": int, "boundary_tol": float},
-    "tolerances": {"rtol": float, "atol": float},
-    "output": {"directory": str},
-}
-
-_CONFIG_TO_FIELD = {
-    ("profile", "name"): "profile",
-    ("profile", "eps"): "eps",
-    ("profile", "eta"): "eta",
-    ("profile", "r0"): "r0",
-    ("profile", "r_max"): "r_max",
-    ("grid", "kind"): "grid_kind",
-    ("grid", "r_min"): "grid_min",
-    ("grid", "n"): "grid_n",
-    ("asymptotics", "horizon"): "horizon",
-    ("asymptotics", "m_max"): "m_max",
-    ("bvp", "radius"): "radius",
-    ("bvp", "m_max"): "m_max",
-    ("bvp", "boundary_tol"): "boundary_tol",
-    ("tolerances", "rtol"): "rtol",
-    ("tolerances", "atol"): "atol",
-    ("output", "directory"): "out_dir",
+# [section] key -> (RunConfig field, type); two keys may set one field
+_CONFIG_KEYS = {
+    ("profile", "name"): ("profile", str),
+    ("profile", "eps"): ("eps", float),
+    ("profile", "eta"): ("eta", float),
+    ("profile", "r0"): ("r0", float),
+    ("profile", "r_max"): ("r_max", float),
+    ("grid", "kind"): ("grid_kind", str),
+    ("grid", "r_min"): ("grid_min", float),
+    ("grid", "n"): ("grid_n", int),
+    ("asymptotics", "horizon"): ("horizon", float),
+    ("asymptotics", "m_max"): ("m_max", int),
+    ("bvp", "radius"): ("radius", float),
+    ("bvp", "m_max"): ("m_max", int),
+    ("bvp", "boundary_tol"): ("boundary_tol", float),
+    ("tolerances", "rtol"): ("rtol", float),
+    ("tolerances", "atol"): ("atol", float),
+    ("output", "directory"): ("out_dir", str),
 }
 
 
@@ -109,13 +101,16 @@ def load_config_file(path) -> dict:
         raise DomainError(f"cannot read config file {path}")
     updates = {}
     for section in parser.sections():
-        if section not in _CONFIG_SCHEMA:
+        if section not in {s for s, _ in _CONFIG_KEYS}:
             raise DomainError(f"{path}: unknown config section [{section}]")
         for key, raw in parser[section].items():
-            if key not in _CONFIG_SCHEMA[section]:
+            if (section, key) not in _CONFIG_KEYS:
                 raise DomainError(f"{path}: unknown key {key!r} in [{section}]")
-            typ = _CONFIG_SCHEMA[section][key]
-            updates[_CONFIG_TO_FIELD[(section, key)]] = typ(raw)
+            fieldname, typ = _CONFIG_KEYS[(section, key)]
+            value = typ(raw)
+            if updates.setdefault(fieldname, value) != value:
+                raise DomainError(f"{path}: [{section}] {key} = {value!r} conflicts with "
+                                  f"{fieldname} = {updates[fieldname]!r} set earlier")
     return updates
 
 
@@ -214,8 +209,9 @@ def cmd_modes(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     print(f"profile = {surface.name}")
     print("m  max_scaled_residual_eq4  max_scaled_residual_eq6  file")
-    for m in range(0, cfg.m_max + 1):
-        bmode = modes.biharmonic_mode(surface.metric, m, grid, rtol=cfg.rtol, atol=cfg.atol)
+    bmodes = modes.biharmonic_mode(surface.metric, range(cfg.m_max + 1), grid,
+                                   rtol=cfg.rtol, atol=cfg.atol)
+    for m, bmode in enumerate(bmodes):
         rep4 = modes.verify_mode_residuals(surface.metric, bmode.harmonic())
         rep6 = modes.verify_mode_residuals(surface.metric, bmode)
         path = out / f"mode_{m}.csv"

@@ -18,6 +18,8 @@ stiff-capable integrator whose dense output serves as the quadrature.
 Since Lambda_m is |m| times a profile integral that does not depend on
 m, one solve carries (log w, z) for every requested |m| beside a single
 Lambda, and all frequencies share the profile lookups of each step.
+Every entry point solves its set of m this way, a single m included;
+``biharmonic_mode`` solves it twice, the gap bounding the error.
 The inner ratio w is exactly the quantity whose growth or decay drives
 the Liouville-type dichotomies, so it is exposed alongside the modes.
 """
@@ -28,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import LSODA, quad, solve_ivp
 
 from ._util import write_csv
 from .errors import DomainError, QuadratureError
@@ -42,7 +44,6 @@ __all__ = [
     "ResidualReport",
     "biharmonic_mode",
     "verify_mode_residuals",
-    "mean_integral_ratio",
     "comparison_tail_product",
     "export_mode_csv",
 ]
@@ -134,8 +135,22 @@ class BiharmonicMode:
 # the quadrature pass
 # ----------------------------------------------------------------------
 
+class _AnchoredLSODA(LSODA):
+    """LSODA recording y[0] at r = 1 as a dense solution reads it, even when none is kept."""
+
+    def __init__(self, *args, at_one: list, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._at_one = at_one
+
+    def step(self):
+        message = super().step()
+        if self.status != "failed" and self.t_old < 1.0 <= self.t:
+            self._at_one.append(float(self.dense_output()(1.0)[0]))
+        return message
+
+
 class _ModePass:
-    """Dense solution of the coupled (Lambda, log w_m, z_m) system for a set of |m|.
+    """Solution of the coupled (Lambda, log w_m, z_m) system for a set of |m|.
 
     One adaptive solve carries every requested |m|: the state is
     (Lambda_ref, log w_m for each m, z_m for each m), where Lambda_ref is
@@ -149,12 +164,15 @@ class _ModePass:
     The seed uses phi(t) ~ t on [0, t0]: the inner integrand behaves
     like t^(1+2|m|), so w(t0) = t0/(2+2|m|) and z(t0) = t0^2/(4+4|m|).
 
+    Given ``radii`` (increasing, in (t0, r_end]), only the states there
+    are kept instead of a dense solution, which saves memory.
+
     The accessors take the angular frequency m, which may be omitted
     when the pass holds only one.
     """
 
     def __init__(self, profile: MetricProfile, m, r_end: float,
-                 rtol: float, atol: float, t0: float | None = None):
+                 rtol: float, atol: float, t0: float | None = None, radii=None):
         ms = sorted({abs(int(k)) for k in ([m] if np.isscalar(m) else m)})
         if not ms:
             raise DomainError("a mode pass needs at least one angular frequency")
@@ -204,16 +222,20 @@ class _ModePass:
               *[t0 * t0 / (4.0 + 4.0 * am) for am in ms]]
         span_end = max(r_end, 1.0)  # Lambda is anchored at r = 1
         rtol = max(rtol, 1e-13)     # below this the solver clamps anyway
-        sol = solve_ivp(rhs, (t0, span_end), y0, method="LSODA",
-                        rtol=rtol, atol=atol, dense_output=True, jac=jac)
+        at_one = []
+        sol = solve_ivp(rhs, (t0, span_end), y0, method=_AnchoredLSODA, at_one=at_one,
+                        rtol=rtol, atol=atol, jac=jac,
+                        dense_output=radii is None, t_eval=radii)
         if sol.status != 0:
             raise QuadratureError(
                 f"mode quadrature for m={', '.join(map(str, ms))} stopped: {sol.message}",
                 worst_interval=(float(sol.t[-1]), span_end),
             )
         self._sol = sol.sol
+        self._radii = radii
+        self._samples = None if radii is None else sol.y
         # raw Lambda_ref at r = 1, the shift that normalizes phi_m(1) = 1
-        self.lam_at_one = float(sol.sol(1.0)[0]) if span_end >= 1.0 >= t0 else 0.0
+        self.lam_at_one = at_one[0] if at_one else 0.0
 
     def _index(self, m) -> int:
         if m is None:
@@ -227,6 +249,10 @@ class _ModePass:
 
     def _states(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
+        if self._sol is None:
+            if not np.array_equal(r, self._radii):
+                raise DomainError("this pass holds values only at the radii it was solved for")
+            return self._samples
         if np.any(r < self.t0 * (1.0 - 1e-12)):
             raise DomainError(f"mode values only available for r >= {self.t0:g}")
         return self._sol(np.maximum(r, self.t0))
@@ -236,12 +262,6 @@ class _ModePass:
         if am == 0:
             return np.zeros_like(states[0])
         return (states[0] - self.lam_at_one) * (am / self.ms[-1])
-
-    def lam(self, r, m=None):
-        return self._lam(self._states(r), self._index(m))
-
-    def z(self, r, m=None):
-        return self._states(r)[1 + len(self.ms) + self._index(m)]
 
     def inner_ratio(self, r, m=None):
         """w(r): the scaled inner integral the growth lemmas are about."""
@@ -254,23 +274,10 @@ class _ModePass:
         return self._lam(out, k), np.exp(out[1 + k]), out[1 + len(self.ms) + k]
 
     def lam_z(self, r):
-        """(Lambda_m, z_m) at the radii r for every |m| in ``ms``, from one dense read."""
+        """(Lambda_m, z_m) at the radii r for every |m| in ``ms``, from one read."""
         out = self._states(r)
         n = len(self.ms)
         return np.array([self._lam(out, k) for k in range(n)]), out[1 + n:]
-
-
-def _paired_passes(profile, m, grid: RadialGrid, rtol, atol):
-    """Requested-accuracy and tightened passes; the gap estimates the error."""
-    if rtol <= 0.0 or atol <= 0.0:
-        raise DomainError("quadrature tolerances must be positive")
-    if grid.r_min <= 0.0:
-        raise DomainError("mode grids must stay inside (0, r_max]")
-    t0 = min(1e-5, _ORIGIN_FRACTION * grid.r_min)
-    loose = _ModePass(profile, m, grid.r_max, rtol / _DELIVER, atol / _DELIVER, t0=t0)
-    tight = _ModePass(profile, m, grid.r_max, rtol / (_DELIVER * _TIGHTEN),
-                      atol / (_DELIVER * _TIGHTEN), t0=t0)
-    return loose, tight
 
 
 # Dense-output interpolation error is not controlled by the step
@@ -296,53 +303,54 @@ def _checked(values_tight, values_loose, magnitude, rtol, atol, nodes, what):
 
 def biharmonic_mode(
     profile: MetricProfile,
-    m: int,
+    m,
     grid: RadialGrid,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-) -> BiharmonicMode:
+) -> BiharmonicMode | tuple[BiharmonicMode, ...]:
     """Compute phi_m and psi_m = z * phi_m as (Lambda_m, z, log psi_m) on the grid.
 
+    ``m`` is one angular frequency (giving one ``BiharmonicMode``) or a
+    sequence (giving a tuple of modes in its order), solved as one system.
     Lambda_m = |m| * integral_1^r ds/phi is signed (negative for r < 1)
     and normalized so that phi_m(1) = 1. Per-node error bounds come from
     comparing the requested-tolerance pass against one two orders
     tighter; ``harmonic()`` gives phi_m alone with its own bound.
     """
+    if rtol <= 0.0 or atol <= 0.0:
+        raise DomainError("quadrature tolerances must be positive")
+    if grid.r_min <= 0.0:
+        raise DomainError("mode grids must stay inside (0, r_max]")
+    single = np.isscalar(m)
+    ms = [int(m)] if single else [int(k) for k in m]
     nodes = grid.nodes
-    loose, tight = _paired_passes(profile, m, grid, rtol, atol)
-    lam_t, _, z_t = tight.all_values(nodes)
-    lam_l, _, z_l = loose.all_values(nodes)
-    err_lam = _checked(lam_t, lam_l, np.abs(lam_t) + abs(tight.lam_at_one),
-                       rtol, atol, nodes, f"Lambda_{m} quadrature")
-    err_z = _checked(z_t, z_l, z_t, rtol, atol, nodes,
-                     f"reduction factor quadrature (m={m})")
-    if m == 0:
-        lam_t = np.zeros_like(lam_t)
-    return BiharmonicMode(
-        m=int(m),
-        grid=grid,
-        lam=lam_t,
-        z=z_t,
-        log_psi=lam_t + np.log(z_t),
-        quadrature_error=err_lam + err_z / np.maximum(z_t, 1e-300),
-        lam_error=np.zeros_like(lam_t) if m == 0 else err_lam,
-    )
+    t0 = min(1e-5, _ORIGIN_FRACTION * grid.r_min)
+    lam_l, z_l = _ModePass(profile, ms, grid.r_max, rtol / _DELIVER, atol / _DELIVER,
+                           t0=t0, radii=nodes).lam_z(nodes)
+    tight = _ModePass(profile, ms, grid.r_max, rtol / (_DELIVER * _TIGHTEN),
+                      atol / (_DELIVER * _TIGHTEN), t0=t0, radii=nodes)
+    lam_t, z_t = tight.lam_z(nodes)
 
-
-def mean_integral_ratio(
-    profile: MetricProfile,
-    s: float,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> float:
-    """(1/phi(s)) * integral_0^s phi, computed in scaled form.
-
-    This is the m = 0 inner ratio; its decay exponent separates the
-    biharmonic regimes.
-    """
-    s = profile.require_radius(s)
-    tight = _ModePass(profile, 0, s, rtol / _TIGHTEN, atol / _TIGHTEN)
-    return float(tight.inner_ratio(s))
+    out = []
+    for mi in ms:
+        am = abs(mi)
+        k = tight.ms.index(am)
+        # this m's share of the shift that normalizes Lambda_m(1) = 0
+        shift = abs(tight.lam_at_one) * (am / tight.ms[-1]) if am else 0.0
+        err_lam = _checked(lam_t[k], lam_l[k], np.abs(lam_t[k]) + shift,
+                           rtol, atol, nodes, f"Lambda_{mi} quadrature")
+        err_z = _checked(z_t[k], z_l[k], z_t[k], rtol, atol, nodes,
+                         f"reduction factor quadrature (m={mi})")
+        out.append(BiharmonicMode(
+            m=mi,
+            grid=grid,
+            lam=lam_t[k],
+            z=z_t[k],
+            log_psi=lam_t[k] + np.log(z_t[k]),
+            quadrature_error=err_lam + err_z / np.maximum(z_t[k], 1e-300),
+            lam_error=np.zeros_like(err_lam) if am == 0 else err_lam,
+        ))
+    return out[0] if single else tuple(out)
 
 
 def mode_pass(profile: MetricProfile, m, r_end: float,
@@ -378,10 +386,6 @@ class ResidualReport:
 
 
 _LINEAR_LAM_CAP = 300.0  # below this, exp(Lambda) is safely representable
-
-
-def _interior(x):
-    return slice(1, x.size - 1)
 
 
 def verify_mode_residuals(profile: MetricProfile, mode) -> ResidualReport:
@@ -424,7 +428,7 @@ def verify_mode_residuals(profile: MetricProfile, mode) -> ResidualReport:
     else:
         raise DomainError(f"cannot verify residuals of {type(mode).__name__}")
 
-    sl = _interior(x)
+    sl = slice(1, x.size - 1)
     interior_res = res[sl]
     return ResidualReport(
         m=m,

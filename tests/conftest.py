@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import warped_disk as wd
+
+# property tests are reproducible and free of per-example time limits
+settings.register_profile("warped-disk", deadline=None, derandomize=True)
+settings.load_profile("warped-disk")
 
 FAR = 1100.0  # covers the default evidence horizon with margin
 

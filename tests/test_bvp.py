@@ -306,7 +306,7 @@ def test_evaluate_against_dense_synthesis(hyperbolic):
         assert abs(value - exact) < 1e-8
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
+@settings(max_examples=20)
 @given(st.booleans(), st.integers(0, 4), st.floats(0.5, 3.0), st.booleans(), st.data())
 def test_band_limited_spectrum_survives_solve_and_evaluation(
     euclidean, hyperbolic, flat, m_max, radius, real, data

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from warped_disk import bvp, cli
+from warped_disk.errors import DomainError
 
 POWER = ["--profile", "power-curvature", "--eps", "1", "--mmax", "2"]
 
@@ -35,3 +36,22 @@ def test_outputs_are_byte_identical_across_runs(tmp_path, argv, names):
         assert cli.main(argv + ["--out", str(tmp_path / run)]) == cli.EXIT_OK
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def _config(tmp_path, asymptotics_m_max, bvp_m_max):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[asymptotics]\nm_max = {asymptotics_m_max}\n\n"
+                    f"[bvp]\nm_max = {bvp_m_max}\n")
+    return path
+
+
+def test_config_keys_setting_one_field_to_two_values_are_refused(tmp_path):
+    path = _config(tmp_path, 8, 2)
+    with pytest.raises(DomainError, match="m_max"):
+        cli.load_config_file(path)
+    code = cli.main(["classify", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_USAGE
+
+
+def test_config_keys_setting_one_field_to_one_value_are_accepted(tmp_path):
+    assert cli.load_config_file(_config(tmp_path, 3, 3)) == {"m_max": 3}

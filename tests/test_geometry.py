@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import warped_disk as wd
@@ -111,6 +113,38 @@ def test_ivp_sphere_conjugate_point():
     with pytest.raises(wd.ConjugatePointError) as err:
         wd.profile_from_curvature(lambda r: 1.0, r_max=6.0)
     assert 3.1405 <= err.value.radius <= 3.1427
+
+
+def _constant_curvature_closed_form(k, r):
+    """(log phi, phi'/phi) of the K = k space form: sin, r or sinh."""
+    if k > 0.0:
+        s = math.sqrt(k)
+        return np.log(np.sin(s * r) / s), s / np.tan(s * r)
+    if k < 0.0:
+        s = math.sqrt(-k)
+        # log(sinh(s r) / s) without overflow
+        return s * r - math.log(2.0 * s) + np.log(-np.expm1(-2.0 * s * r)), s / np.tanh(s * r)
+    return np.log(r), 1.0 / r
+
+
+@settings(max_examples=30)
+@given(st.floats(-4.0, 4.0).map(lambda k: round(k, 3)))
+def test_ivp_constant_curvature_matches_closed_form(k):
+    # rounding keeps K = 0 exact and |K| >= 1e-3, so pi/sqrt(K) stays small
+    r_max = 40.0 if k <= 0.0 else 0.9 * math.pi / math.sqrt(k)
+    prof = wd.profile_from_curvature(lambda r: k, r_max=r_max)
+    r = np.geomspace(1e-3, r_max, 200)
+    log_phi, dlog_phi = _constant_curvature_closed_form(k, r)
+    assert np.all(np.abs(prof.log_phi(r) - log_phi) <= 1e-7)
+    # relative to the curvature scale too: for K > 0, phi'/phi crosses
+    # zero at pi / (2 sqrt(K))
+    scale = np.maximum(np.abs(dlog_phi), math.sqrt(abs(k)))
+    assert np.all(np.abs(prof.dlog_phi(r) - dlog_phi) <= 1e-7 * scale)
+    if k > 0.0:
+        first_zero = math.pi / math.sqrt(k)
+        with pytest.raises(wd.ConjugatePointError) as err:
+            wd.profile_from_curvature(lambda r: k, r_max=1.5 * first_zero)
+        assert abs(err.value.radius - first_zero) <= 1e-8 * first_zero
 
 
 def test_ivp_rejects_bad_arguments():

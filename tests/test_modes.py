@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
 import warped_disk as wd
@@ -129,7 +129,7 @@ def test_power_reduction_factor_converges(power1):
     # the harmonic mode: z approaches a finite limit
     radii = 800.0 / 2.0 ** np.arange(6, -1.0, -1.0)
     mp = mode_pass(power1.metric, 1, 800.0)
-    z = mp.z(radii)
+    _, _, z = mp.all_values(radii)
     inc = np.diff(z)
     ratios = inc[1:] / inc[:-1]
     assert np.all(ratios < 0.8)
@@ -148,7 +148,7 @@ def test_shared_pass_flat_closed_forms(euclidean):
         assert_allclose(lam, m * np.log(r), rtol=1e-8, atol=1e-8 * m)
         assert_allclose(w, r / (2.0 + 2.0 * m), rtol=1e-8)
         assert_allclose(z, r * r / (4.0 + 4.0 * m), rtol=1e-8)
-        assert_allclose(mp.lam(r, -m), lam, rtol=0.0, atol=0.0)
+        assert_allclose(mp.all_values(r, -m)[0], lam, rtol=0.0, atol=0.0)
 
 
 def test_shared_pass_matches_single_passes(power1):
@@ -169,32 +169,84 @@ def test_shared_pass_matches_single_passes(power1):
 def test_pass_accessors_name_the_mode(euclidean):
     mp = mode_pass(euclidean.metric, (1, 3), 10.0)
     with pytest.raises(wd.DomainError):
-        mp.z(2.0)
+        mp.all_values(2.0)
     with pytest.raises(wd.DomainError):
-        mp.z(2.0, 2)
+        mp.all_values(2.0, 2)
+
+
+def test_pass_kept_at_fixed_radii_equals_dense_pass(power1):
+    # keeping only the grid's states changes no value, the r = 1
+    # normalization included
+    r = np.geomspace(0.05, 20.0, 41)
+    dense = modes._ModePass(power1.metric, range(3), 20.0, 1e-11, 1e-13)
+    kept = modes._ModePass(power1.metric, range(3), 20.0, 1e-11, 1e-13, radii=r)
+    assert kept.lam_at_one == dense.lam_at_one
+    for a, b in zip(dense.lam_z(r), kept.lam_z(r)):
+        assert_array_equal(a, b)
+    with pytest.raises(wd.DomainError):
+        kept.lam_z(r[:-1])
+
+
+def test_biharmonic_mode_return_shape(euclidean):
+    grid = RadialGrid.geometric(0.1, 10.0, 33)
+    one = wd.biharmonic_mode(euclidean.metric, 2, grid)
+    assert isinstance(one, wd.BiharmonicMode) and one.m == 2
+    (only,) = wd.biharmonic_mode(euclidean.metric, (2,), grid)
+    for name in ("lam", "z", "log_psi", "quadrature_error", "lam_error"):
+        assert_array_equal(getattr(only, name), getattr(one, name))
+    many = wd.biharmonic_mode(euclidean.metric, [2, 0, -2], grid)
+    assert isinstance(many, tuple)
+    assert [mode.m for mode in many] == [2, 0, -2]
+    assert_array_equal(many[0].log_psi, many[2].log_psi)
+    assert_array_equal(many[1].lam, 0.0)
+
+
+@pytest.mark.parametrize("surface, ms, grid", [
+    ("power1", range(4), RadialGrid.geometric(1e-3, 100.0, 256)),
+    ("euclidean", range(9), RadialGrid.geometric(1e-3, 1000.0, 512)),
+])
+def test_biharmonic_mode_set_matches_single_calls(request, surface, ms, grid):
+    # one loose/tight pair for the whole set agrees with each single-m
+    # pair per node, within the larger of the two reported bounds
+    metric = request.getfixturevalue(surface).metric
+    for m, mode in zip(ms, wd.biharmonic_mode(metric, ms, grid)):
+        single = wd.biharmonic_mode(metric, m, grid)
+        assert mode.m == m
+        assert np.all(np.abs(mode.lam - single.lam)
+                      <= np.maximum(mode.lam_error, single.lam_error))
+        assert np.all(np.abs(mode.log_psi - single.log_psi)
+                      <= np.maximum(mode.quadrature_error, single.quadrature_error))
+
+
+def test_biharmonic_mode_set_flat_closed_form(euclidean):
+    # psi_m = r^m * r^2 / (4 (1 + m)) on the plane
+    grid = RadialGrid.geometric(1e-3, 1000.0, 512)
+    r = grid.nodes
+    for m, mode in enumerate(wd.biharmonic_mode(euclidean.metric, range(9), grid)):
+        exact = m * np.log(r) + np.log(r * r / (4.0 * (1.0 + m)))
+        assert np.all(np.abs(mode.log_psi - exact) <= mode.quadrature_error)
 
 
 # ----------------------------------------------------------------------
-# mean integral ratio
+# mean integral ratio (1/phi(s)) * integral_0^s phi: the m = 0 inner ratio
 # ----------------------------------------------------------------------
 
 def test_mean_integral_ratio_flat(euclidean):
-    for s in (0.5, 2.0, 40.0):
-        assert_allclose(wd.mean_integral_ratio(euclidean.metric, s), s / 2.0, rtol=1e-8)
+    s = np.array([0.5, 2.0, 40.0])
+    assert_allclose(mode_pass(euclidean.metric, 0, 40.0).inner_ratio(s), s / 2.0, rtol=1e-8)
 
 
 def test_mean_integral_ratio_hyperbolic(hyperbolic):
-    for s in (1.0, 5.0, 30.0):
-        assert_allclose(
-            wd.mean_integral_ratio(hyperbolic.metric, s), math.tanh(s / 2.0), rtol=1e-8
-        )
-    assert_allclose(wd.mean_integral_ratio(hyperbolic.metric, 60.0), 1.0, rtol=1e-8)
+    mp = mode_pass(hyperbolic.metric, 0, 60.0)
+    s = np.array([1.0, 5.0, 30.0])
+    assert_allclose(mp.inner_ratio(s), np.tanh(s / 2.0), rtol=1e-8)
+    assert_allclose(mp.inner_ratio(60.0), 1.0, rtol=1e-8)
 
 
 def test_mean_integral_ratio_power_decay(power1):
     # on a -r^(2+eps) tail the ratio decays like r^-(1+eps/2)
     radii = np.geomspace(30.0, 300.0, 16)
-    vals = [wd.mean_integral_ratio(power1.metric, s) for s in radii]
+    vals = mode_pass(power1.metric, 0, 300.0).inner_ratio(radii)
     slope = np.polyfit(np.log(radii), np.log(vals), 1)[0]
     assert_allclose(slope, -1.5, atol=0.05)
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
@@ -221,7 +221,6 @@ _spacings = st.lists(st.floats(1e-3, 1.0), min_size=4, max_size=40)
 _coefficient = st.floats(-10.0, 10.0)
 
 
-@settings(deadline=None, derandomize=True)
 @given(_spacings, st.floats(-5.0, 5.0), _coefficient, _coefficient, _coefficient)
 def test_interior_stencils_exact_on_quadratics(spacings, x0, a, b, c):
     x = x0 + np.concatenate(([0.0], np.cumsum(spacings)))
@@ -237,7 +236,6 @@ def test_interior_stencils_exact_on_quadratics(spacings, x0, a, b, c):
     assert np.all(np.abs(d2[1:-1] - 2.0 * c) <= tol * (near / (h * h) + abs(c)))
 
 
-@settings(deadline=None, derandomize=True)
 @given(_spacings, st.floats(-5.0, 5.0), st.floats(-1e6, 1e6))
 def test_interior_stencils_zero_on_constants(spacings, x0, value):
     x = x0 + np.concatenate(([0.0], np.cumsum(spacings)))
