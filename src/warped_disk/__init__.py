@@ -3,8 +3,10 @@
 Build a metric profile (closed form or integrated from curvature),
 compute the radial harmonic modes phi_m and their biharmonic partners
 psi_m = z phi_m in overflow-safe log space, verify them against the
-metric Laplacian, classify the surface into curvature regimes, and
-solve the biharmonic Dirichlet problem on geodesic disks.
+separated Laplacian, classify the surface into curvature regimes, and
+solve the biharmonic Dirichlet problem on geodesic disks. The names
+exported here are the ones the ``warped-disk`` commands (``classify``,
+``modes``, ``bvp`` and ``verify``) are built from.
 """
 
 from .asymptotics import (
@@ -15,7 +17,6 @@ from .asymptotics import (
     RIGID,
     UNDETERMINED,
     ClassificationReport,
-    classify_harmonic,
     classify_surface,
     estimate_log_derivative_limit,
     fit_tail_exponent,
@@ -46,18 +47,13 @@ from .geometry import (
     Surface,
     TailDescriptor,
     builtin_profile,
-    check_origin_smoothness,
-    curvature_of,
-    log_derivative,
     profile_from_curvature,
 )
 from .modes import (
     BiharmonicMode,
     LogMode,
     biharmonic_mode,
-    comparison_tail_product,
     verify_mode_residuals,
 )
-from .operators import RadialFunctionSamples, radial_laplacian_apply, sturm_compare
 
 __version__ = "0.1.0"

@@ -54,7 +54,6 @@ __all__ = [
     "estimate_log_derivative_limit",
     "fit_tail_exponent",
     "numeric_evidence",
-    "classify_harmonic",
     "classify_surface",
     "export_report",
 ]
@@ -523,11 +522,6 @@ def classify_surface(
         declared_verified=declared_verified,
         notes=tuple(notes),
     )
-
-
-def classify_harmonic(obj, horizon: float = DEFAULT_HORIZON, m_set=(1, 2, 3)) -> str:
-    """Harmonic regime label: parabolic, hyperbolic, or undetermined."""
-    return classify_surface(obj, horizon=horizon, m_set=m_set).harmonic_regime
 
 
 # ----------------------------------------------------------------------

@@ -450,7 +450,8 @@ def verify_disk_solution(
 def read_trace_csv(path, radius: float) -> BoundaryTrace:
     """Read a trace file with columns theta, u, lap_u.
 
-    Angles must be the equispaced grid 2 pi j / N in order.
+    Angles must be the equispaced grid 2 pi j / N in order. A row that
+    does not start with three numbers is refused with its line number.
     """
     thetas = []
     u = []
@@ -463,9 +464,14 @@ def read_trace_csv(path, radius: float) -> BoundaryTrace:
         for row in reader:
             if not row:
                 continue
-            thetas.append(float(row[0]))
-            u.append(float(row[1]))
-            lap.append(float(row[2]))
+            try:
+                theta_j, u_j, lap_j = map(float, row[:3])
+            except ValueError:
+                raise DomainError(f"{path}, line {reader.line_num}: expected three numbers "
+                                  f"theta,u,lap_u, got {row!r}") from None
+            thetas.append(theta_j)
+            u.append(u_j)
+            lap.append(lap_j)
     n = len(thetas)
     if not _is_power_of_two(n):
         raise DomainError(f"{path}: trace length {n} is not a power of two")

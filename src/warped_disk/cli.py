@@ -17,7 +17,6 @@ CSV and report files.
 from __future__ import annotations
 
 import argparse
-import configparser
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -26,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, bvp, geometry, modes, operators
-from ._util import fmt17, write_csv
+from ._util import fmt17, read_key_values, write_csv
 from .errors import DomainError, WarpedDiskError
 
 EXIT_OK = 0
@@ -95,22 +94,13 @@ _CONFIG_KEYS = {
 
 
 def load_config_file(path) -> dict:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise DomainError(f"cannot read config file {path}")
+    types = {key: typ for key, (_, typ) in _CONFIG_KEYS.items()}
     updates = {}
-    for section in parser.sections():
-        if section not in {s for s, _ in _CONFIG_KEYS}:
-            raise DomainError(f"{path}: unknown config section [{section}]")
-        for key, raw in parser[section].items():
-            if (section, key) not in _CONFIG_KEYS:
-                raise DomainError(f"{path}: unknown key {key!r} in [{section}]")
-            fieldname, typ = _CONFIG_KEYS[(section, key)]
-            value = typ(raw)
-            if updates.setdefault(fieldname, value) != value:
-                raise DomainError(f"{path}: [{section}] {key} = {value!r} conflicts with "
-                                  f"{fieldname} = {updates[fieldname]!r} set earlier")
+    for section, key, value in read_key_values(path, types, "config"):
+        fieldname = _CONFIG_KEYS[section, key][0]
+        if updates.setdefault(fieldname, value) != value:
+            raise DomainError(f"{path}: [{section}] {key} = {value!r} conflicts with "
+                              f"{fieldname} = {updates[fieldname]!r} set earlier")
     return updates
 
 
@@ -270,16 +260,8 @@ def _suite_stencil(cfg: RunConfig, out: Path) -> tuple[bool, list[str]]:
     for surface in surfaces:
         metric = surface.metric
         if cfg.inject_fault == "stencil" and surface.name == "euclidean":
-            metric = geometry.MetricProfile(
-                phi=metric.phi,
-                phi_prime=metric.phi_prime,
-                phi_second=lambda r: 0.3 * np.ones_like(np.asarray(r, dtype=float)),
-                log_phi=metric.log_phi,
-                dlog_phi=metric.dlog_phi,
-                r_max=metric.r_max,
-                source=metric.source,
-                name="euclidean(faulted)",
-            )
+            metric = replace(metric, name="euclidean(faulted)",
+                             phi_second=lambda r: 0.3 * np.ones_like(np.asarray(r, dtype=float)))
         # phi'' consistency against differenced phi'
         x = np.linspace(1.0, 2.0, 201)
         d1, _ = operators.sample_derivatives(x, np.asarray(metric.phi_prime(x), dtype=float))
@@ -314,7 +296,12 @@ def _suite_stencil(cfg: RunConfig, out: Path) -> tuple[bool, list[str]]:
 
 
 def _suite_comparison(cfg: RunConfig, out: Path) -> tuple[bool, list[str]]:
-    """Randomized comparison-lemma pairs; the conclusion must hold."""
+    """Randomized comparison-lemma pairs; the conclusion must hold.
+
+    The package's one check of the Sturm comparison lemma, in Riccati
+    form: v' = q - v^2 with q_f <= q_h and v_f(1) <= v_h(1) must give
+    v_f <= v_h on [1, 4].
+    """
     from scipy.integrate import solve_ivp
 
     rng = np.random.default_rng(20240801)

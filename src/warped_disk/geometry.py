@@ -11,15 +11,15 @@ carried in log space: the state is ``(log phi, phi'/phi)``.
 
 from __future__ import annotations
 
-import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ._util import write_csv
+from ._util import read_key_values
+from ._util import write_csv  # noqa: F401 -- patched by benchmarks/tracing.py
 from .errors import ConjugatePointError, DomainError, IntegrationError
 
 __all__ = [
@@ -28,16 +28,10 @@ __all__ = [
     "CurvatureProfile",
     "TailDescriptor",
     "Surface",
-    "OriginReport",
-    "curvature_of",
-    "log_derivative",
     "profile_from_curvature",
     "builtin_profile",
     "builtin_names",
-    "check_origin_smoothness",
-    "export_profile_csv",
     "read_profile_file",
-    "write_profile_file",
 ]
 
 # Default controls for the curvature IVP.
@@ -207,7 +201,7 @@ class MetricProfile:
     and its derivatives on (0, r_max]; ``log_phi`` and ``dlog_phi``
     (= phi'/phi) stay finite where phi itself overflows. All evaluators
     accept scalars or arrays and are pure, so profiles are safe to share
-    across threads.
+    across threads. ``name`` labels the surface in reports.
     """
 
     phi: Callable
@@ -216,10 +210,7 @@ class MetricProfile:
     log_phi: Callable
     dlog_phi: Callable
     r_max: float
-    source: str = "analytic"           # "analytic" | "curvature-integrated"
     name: str = ""
-    origin_seed: tuple[float, float] = (0.0, 1.0)
-    k_origin: float = 0.0
 
     def require_radius(self, r: float) -> float:
         r = float(r)
@@ -237,18 +228,6 @@ class Surface:
     name: str
     metric: MetricProfile
     curvature: CurvatureProfile
-
-
-def curvature_of(profile: MetricProfile, r: float) -> float:
-    """Gaussian curvature -phi''/phi at radius r."""
-    r = profile.require_radius(r)
-    return float(-profile.phi_second(r) / profile.phi(r))
-
-
-def log_derivative(profile: MetricProfile, r: float) -> float:
-    """phi'/phi at radius r, the quantity the comparison arguments control."""
-    r = profile.require_radius(r)
-    return float(profile.dlog_phi(r))
 
 
 # ----------------------------------------------------------------------
@@ -381,9 +360,7 @@ def profile_from_curvature(
         log_phi=log_phi,
         dlog_phi=dlog_phi,
         r_max=r_hi,
-        source="curvature-integrated",
         name=name or getattr(curvature, "name", "") or "curvature-integrated",
-        k_origin=k0,
     )
 
 
@@ -399,9 +376,7 @@ def _euclidean_profile() -> MetricProfile:
         log_phi=lambda r: np.log(r),
         dlog_phi=lambda r: 1.0 / np.asarray(r, dtype=float),
         r_max=ANALYTIC_R_MAX,
-        source="analytic",
         name="euclidean",
-        k_origin=0.0,
     )
 
 
@@ -442,9 +417,7 @@ def _hyperbolic_profile() -> MetricProfile:
         log_phi=_log_sinh,
         dlog_phi=_coth,
         r_max=ANALYTIC_R_MAX,
-        source="analytic",
         name="hyperbolic",
-        k_origin=-1.0,
     )
 
 
@@ -578,114 +551,23 @@ def builtin_profile(
 
 
 # ----------------------------------------------------------------------
-# origin diagnostics
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OriginReport:
-    """Finite-difference estimates of phi and its derivatives at 0+."""
-
-    h: float
-    value: float
-    slope: float
-    second: float
-    value_ok: bool
-    slope_ok: bool
-    second_ok: bool
-    tolerances: tuple[float, float, float]
-
-    @property
-    def smooth(self) -> bool:
-        return self.value_ok and self.slope_ok and self.second_ok
-
-
-def check_origin_smoothness(profile: MetricProfile, h: float = 1e-3) -> OriginReport:
-    """Check phi(0+) = 0, phi'(0+) = 1, phi''(0+) = 0 by extrapolation.
-
-    A cubic through phi(h), ..., phi(4h) is evaluated at 0. The report
-    carries the estimates and pass flags; it never raises on failure.
-    """
-    h = float(h)
-    if h <= 0.0 or h > profile.r_max / 10.0:
-        raise DomainError("need 0 < h <= r_max/10")
-    xs = h * np.arange(1.0, 5.0)
-    ys = np.asarray(profile.phi(xs), dtype=float)
-    coeffs = np.polyfit(xs, ys, 3)
-    value = float(np.polyval(coeffs, 0.0))
-    slope = float(np.polyval(np.polyder(coeffs), 0.0))
-    second = float(np.polyval(np.polyder(coeffs, 2), 0.0))
-    tols = (
-        max(50.0 * h**3, 1e-12),
-        max(50.0 * h**2, 1e-10),
-        max(50.0 * h, 1e-8),
-    )
-    return OriginReport(
-        h=h,
-        value=value,
-        slope=slope,
-        second=second,
-        value_ok=abs(value) <= tols[0],
-        slope_ok=abs(slope - 1.0) <= tols[1],
-        second_ok=abs(second) <= tols[2],
-        tolerances=tols,
-    )
-
-
-# ----------------------------------------------------------------------
 # file formats
 # ----------------------------------------------------------------------
 
-def export_profile_csv(path, profile: MetricProfile, grid: RadialGrid,
-                       curvature: CurvatureProfile | None = None) -> None:
-    """Sampled-profile export: columns r, phi, phi_prime, K."""
-    r = grid.nodes
-    phi = np.asarray(profile.phi(r), dtype=float)
-    dphi = np.asarray(profile.phi_prime(r), dtype=float)
-    if curvature is not None:
-        k = np.asarray(curvature.k(r), dtype=float)
-    else:
-        k = -np.asarray(profile.phi_second(r), dtype=float) / phi
-    rows = zip(map(float, r), map(float, phi), map(float, dphi), map(float, k))
-    write_csv(path, ["r", "phi", "phi_prime", "K"], rows)
-
-
-_PROFILE_KEYS = ("name", "eps", "eta", "r0", "r_max", "rtol", "atol")
-
-
-def write_profile_file(path, name: str, eps=None, eta=None, r0=None,
-                       r_max=1200.0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> None:
-    cfg = configparser.ConfigParser()
-    cfg["profile"] = {}
-    sect = cfg["profile"]
-    sect["name"] = name
-    for key, val in (("eps", eps), ("eta", eta), ("r0", r0)):
-        if val is not None:
-            sect[key] = repr(float(val))
-    sect["r_max"] = repr(float(r_max))
-    sect["rtol"] = repr(float(rtol))
-    sect["atol"] = repr(float(atol))
-    with open(path, "w") as fh:
-        cfg.write(fh)
+_PROFILE_KEYS = {("profile", "name"): str,
+                 **{("profile", key): float for key in ("eps", "eta", "r0", "r_max", "rtol", "atol")}}
 
 
 def read_profile_file(path) -> Surface:
     """Build a surface from a key-value profile definition file."""
-    cfg = configparser.ConfigParser()
-    read = cfg.read(path)
-    if not read or "profile" not in cfg:
-        raise DomainError(f"{path}: not a profile definition file (missing [profile])")
-    sect = cfg["profile"]
-    unknown = set(sect) - set(_PROFILE_KEYS)
-    if unknown:
-        raise DomainError(f"{path}: unknown profile keys {sorted(unknown)}")
-    if "name" not in sect:
-        raise DomainError(f"{path}: profile file needs a name")
-    get = lambda key: float(sect[key]) if key in sect else None
+    values = {key: value for _, key, value in read_key_values(path, _PROFILE_KEYS, "profile")}
+    if "name" not in values:
+        raise DomainError(f"{path}: a profile definition file needs a [profile] name")
     return builtin_profile(
-        sect["name"],
-        eps=get("eps"),
-        eta=get("eta"),
-        r0=get("r0"),
-        r_max=get("r_max") or 1200.0,
-        step_control=(get("rtol") or DEFAULT_RTOL, get("atol") or DEFAULT_ATOL),
+        values["name"],
+        eps=values.get("eps"),
+        eta=values.get("eta"),
+        r0=values.get("r0"),
+        r_max=values.get("r_max", 1200.0),
+        step_control=(values.get("rtol", DEFAULT_RTOL), values.get("atol", DEFAULT_ATOL)),
     )

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import LSODA, quad, solve_ivp
+from scipy.integrate import LSODA, solve_ivp
 
 from ._util import write_csv
 from .errors import DomainError, QuadratureError
@@ -44,7 +44,6 @@ __all__ = [
     "ResidualReport",
     "biharmonic_mode",
     "verify_mode_residuals",
-    "comparison_tail_product",
     "export_mode_csv",
 ]
 
@@ -438,40 +437,6 @@ def verify_mode_residuals(profile: MetricProfile, mode) -> ResidualReport:
         radii=x[sl],
         residuals=interior_res,
     )
-
-
-# ----------------------------------------------------------------------
-# closed-form comparison integrand (no profile involved)
-# ----------------------------------------------------------------------
-
-def comparison_tail_product(amplitude: float, eps: float, s: float) -> float:
-    """s^(1+eps) * exp(-A s^(2+eps)) * integral_0^s exp(A t^(2+eps)) dt.
-
-    The explicit integrand family behind the decay estimates; the product
-    stabilizes to 1/((2+eps) A) as s grows. Evaluated by quadrature of
-    exp(g(t) - g(s)) over the window where it is non-negligible, with the
-    remainder bounded analytically.
-    """
-    a = float(amplitude)
-    eps = float(eps)
-    s = float(s)
-    if a <= 0.0 or s <= 0.0 or eps < 0.0:
-        raise DomainError("need amplitude > 0, s > 0, eps >= 0")
-    p = 2.0 + eps
-    g_s = a * s**p
-    slope = a * p * s ** (1.0 + eps)
-    window = min(s, 60.0 / slope)
-
-    val, quad_err = quad(lambda t: math.exp(a * t**p - g_s), s - window, s,
-                         epsabs=1e-13, epsrel=1e-12, limit=300)
-    tail = 0.0
-    if window < s:
-        # integrand below exp(g(s-window) - g(s)) on [0, s-window]
-        tail = math.exp(a * (s - window) ** p - g_s) * (s - window)
-    if quad_err > 1e-7 * max(val, 1e-300):
-        raise QuadratureError("comparison integrand quadrature did not converge",
-                              worst_interval=(s - window, s))
-    return s ** (1.0 + eps) * (val + tail)
 
 
 # ----------------------------------------------------------------------

@@ -191,8 +191,8 @@ def test_classify_accepts_bare_curvature():
         k=lambda r: np.full_like(np.asarray(r, dtype=float), -1.0),
         tail=wd.TailDescriptor("between", r0=2.0, eps=1.0, eta=1.0),
     )
-    label = wd.classify_harmonic(curv, horizon=200.0)
-    assert label == wd.HYPERBOLIC
+    report = wd.classify_surface(curv, horizon=200.0, m_set=(1, 2, 3))
+    assert report.harmonic_regime == wd.HYPERBOLIC
 
 
 def test_classify_bare_metric_numeric_route(euclidean):

@@ -404,6 +404,14 @@ def test_trace_csv_rejects_bad_input(tmp_path):
         bvp.read_trace_csv(path, radius=1.0)
 
 
+@pytest.mark.parametrize("row", ["0.5,1.0", "0.5,one,0.0"], ids=["short", "non_numeric"])
+def test_trace_csv_names_the_malformed_line(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"theta,u,lap_u\n0.0,1.0,0.0\n{row}\n")
+    with pytest.raises(wd.DomainError, match=r"bad\.csv, line 3: expected three numbers"):
+        bvp.read_trace_csv(path, radius=1.0)
+
+
 def test_coefficients_csv(tmp_path, euclidean):
     alpha = np.zeros(3, dtype=complex)
     alpha[1] = 1.0

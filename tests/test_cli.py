@@ -55,3 +55,48 @@ def test_config_keys_setting_one_field_to_two_values_are_refused(tmp_path):
 
 def test_config_keys_setting_one_field_to_one_value_are_accepted(tmp_path):
     assert cli.load_config_file(_config(tmp_path, 3, 3)) == {"m_max": 3}
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("[bvp]\nm_max = 2\nm_max = 3\n", id="repeated_key"),
+    pytest.param("m_max = 2\n", id="no_section_header"),
+])
+def test_malformed_config_file_is_a_configuration_error(tmp_path, capsys, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    with pytest.raises(DomainError):
+        cli.load_config_file(path)
+    code = cli.main(["classify", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_USAGE
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("[profile]\nname = euclidean\nname = hyperbolic\n", id="repeated_key"),
+    pytest.param("[profile]\nname = power-curvature\neps = abc\n", id="value_not_a_number"),
+])
+def test_malformed_profile_file_is_a_configuration_error(tmp_path, capsys, text):
+    path = tmp_path / "surface.profile"
+    path.write_text(text)
+    code = cli.main(["classify", "--profile", str(path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_USAGE
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_comparison_suite_finds_no_conclusion_failure(tmp_path):
+    ok, lines = cli._suite_comparison(cli.RunConfig(), tmp_path)
+    assert ok
+    assert lines == ["comparison: 200 randomized pairs, 0 conclusion failures (ok)"]
+
+
+def test_stencil_suite_passes(tmp_path):
+    ok, lines = cli._suite_stencil(cli.RunConfig(), tmp_path)
+    assert ok
+    assert not any("FAIL" in line for line in lines)
+
+
+def test_stencil_suite_catches_the_injected_fault(tmp_path):
+    ok, lines = cli._suite_stencil(cli.RunConfig(inject_fault="stencil"), tmp_path)
+    assert not ok
+    failed = [line for line in lines if line.endswith("(FAIL)")]
+    assert failed and all("euclidean(faulted)" in line for line in failed)

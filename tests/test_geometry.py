@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import warped_disk as wd
-from warped_disk.geometry import RadialGrid, export_profile_csv, read_profile_file, write_profile_file
+from warped_disk.geometry import RadialGrid, read_profile_file
 from warped_disk.operators import sample_derivatives
 
 
@@ -46,20 +46,24 @@ def test_grid_nodes_immutable():
 
 
 # ----------------------------------------------------------------------
-# curvature_of / log_derivative
+# curvature -phi''/phi and log derivative phi'/phi
 # ----------------------------------------------------------------------
 
+def curvature(metric, r):
+    return float(-metric.phi_second(r) / metric.phi(r))
+
+
 def test_curvature_of_flat(euclidean):
-    assert wd.curvature_of(euclidean.metric, 2.0) == 0.0
+    assert curvature(euclidean.metric, 2.0) == 0.0
 
 
 def test_curvature_of_hyperbolic(hyperbolic):
-    assert_allclose(wd.curvature_of(hyperbolic.metric, 1.5), -1.0, rtol=1e-12)
+    assert_allclose(curvature(hyperbolic.metric, 1.5), -1.0, rtol=1e-12)
 
 
 def test_curvature_round_trip_quartic():
     prof = wd.profile_from_curvature(lambda r: -(r**4), r_max=2.0)
-    assert_allclose(wd.curvature_of(prof, 1.2), -(1.2**4), rtol=1e-9)
+    assert_allclose(curvature(prof, 1.2), -(1.2**4), rtol=1e-9)
     # independent check: difference phi' and compare with -K phi
     x = np.linspace(0.5, 1.5, 401)
     d1, _ = sample_derivatives(x, np.asarray(prof.phi_prime(x), dtype=float))
@@ -67,26 +71,25 @@ def test_curvature_round_trip_quartic():
 
 
 def test_curvature_domain_errors(euclidean):
+    # profiles are read on (0, r_max] only
     with pytest.raises(wd.DomainError):
-        wd.curvature_of(euclidean.metric, 0.0)
+        euclidean.metric.require_radius(0.0)
     with pytest.raises(wd.DomainError):
-        wd.curvature_of(euclidean.metric, euclidean.metric.r_max * 2)
+        euclidean.metric.require_radius(euclidean.metric.r_max * 2)
 
 
 def test_log_derivative_flat(euclidean):
-    assert_allclose(wd.log_derivative(euclidean.metric, 4.0), 0.25, rtol=1e-14)
+    assert_allclose(euclidean.metric.dlog_phi(4.0), 0.25, rtol=1e-14)
 
 
 def test_log_derivative_hyperbolic(hyperbolic):
-    assert_allclose(wd.log_derivative(hyperbolic.metric, 3.0), 1.0 / math.tanh(3.0), rtol=1e-12)
-    assert_allclose(wd.log_derivative(hyperbolic.metric, 40.0), 1.0, rtol=1e-12)
+    assert_allclose(hyperbolic.metric.dlog_phi(3.0), 1.0 / math.tanh(3.0), rtol=1e-12)
+    assert_allclose(hyperbolic.metric.dlog_phi(40.0), 1.0, rtol=1e-12)
 
 
 def test_log_derivative_quadratic_growth(quadratic1):
     # comparison bound: phi'/phi grows about linearly on a -eta r^2 tail
-    v10 = wd.log_derivative(quadratic1.metric, 10.0)
-    v20 = wd.log_derivative(quadratic1.metric, 20.0)
-    v40 = wd.log_derivative(quadratic1.metric, 40.0)
+    v10, v20, v40 = quadratic1.metric.dlog_phi(np.array([10.0, 20.0, 40.0]))
     assert 1.8 < v20 / v10 < 2.2
     assert 1.9 < v40 / v20 < 2.1
 
@@ -208,37 +211,40 @@ def test_builtin_curvature_blend_is_smooth(power1):
 
 
 # ----------------------------------------------------------------------
-# origin diagnostics
+# origin smoothness: phi'(0+) = 1 and phi''(0+) = 0
 # ----------------------------------------------------------------------
 
+H_ORIGIN = 1e-3
+
+
+def origin_errors(metric, h=H_ORIGIN):
+    """|phi'(h) - 1| and |phi''(h)|, against their bounds 50 h^2 and 50 h."""
+    return abs(float(metric.phi_prime(h)) - 1.0), abs(float(metric.phi_second(h)))
+
+
 def test_origin_smoothness_flat(euclidean):
-    rep = wd.check_origin_smoothness(euclidean.metric)
-    assert rep.smooth
-    assert_allclose([rep.value, rep.slope, rep.second], [0.0, 1.0, 0.0], atol=1e-10)
+    assert_allclose(origin_errors(euclidean.metric), (0.0, 0.0), atol=1e-10)
 
 
 def test_origin_smoothness_hyperbolic(hyperbolic):
-    assert wd.check_origin_smoothness(hyperbolic.metric).smooth
+    slope_err, second_err = origin_errors(hyperbolic.metric)
+    assert slope_err <= 50.0 * H_ORIGIN**2 and second_err <= 50.0 * H_ORIGIN
 
 
 def test_origin_smoothness_rejects_quadratic_term():
     prof = analytic_profile(
         lambda r: r + r**2, lambda r: 1.0 + 2.0 * r, lambda r: 2.0 * np.ones_like(r)
     )
-    rep = wd.check_origin_smoothness(prof)
-    assert not rep.second_ok
-    assert rep.value_ok and rep.slope_ok
-    assert_allclose(rep.second, 2.0, atol=1e-6)
+    _, second_err = origin_errors(prof)
+    assert second_err > 50.0 * H_ORIGIN
+    assert_allclose(second_err, 2.0, atol=1e-6)
 
 
 def test_origin_smoothness_integrated_profiles(power1, quadratic1, log_threshold):
     for surface in (power1, quadratic1, log_threshold):
-        assert wd.check_origin_smoothness(surface.metric).smooth
-
-
-def test_origin_h_validation(euclidean):
-    with pytest.raises(wd.DomainError):
-        wd.check_origin_smoothness(euclidean.metric, h=-1.0)
+        slope_err, second_err = origin_errors(surface.metric)
+        assert slope_err <= 50.0 * H_ORIGIN**2, surface.name
+        assert second_err <= 50.0 * H_ORIGIN, surface.name
 
 
 # ----------------------------------------------------------------------
@@ -289,20 +295,9 @@ def test_verify_tail_detects_violation():
 # files
 # ----------------------------------------------------------------------
 
-def test_profile_csv_export(tmp_path, euclidean):
-    path = tmp_path / "prof.csv"
-    grid = RadialGrid.uniform(0.5, 2.0, 7)
-    export_profile_csv(path, euclidean.metric, grid, euclidean.curvature)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "r,phi,phi_prime,K"
-    assert len(lines) == 8
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.5 and float(first[1]) == 0.5
-
-
 def test_profile_file_round_trip(tmp_path):
     path = tmp_path / "surface.profile"
-    write_profile_file(path, "power-curvature", eps=1.0, r0=1.0, r_max=5.0)
+    path.write_text("[profile]\nname = power-curvature\neps = 1.0\nr0 = 1.0\nr_max = 5.0\n")
     surface = read_profile_file(path)
     assert_allclose(float(surface.curvature.k(3.0)), -27.0, rtol=1e-12)
     assert surface.metric.r_max == 5.0

@@ -294,19 +294,16 @@ def test_residuals_log_path_for_huge_modes(euclidean):
 
 
 # ----------------------------------------------------------------------
-# closed-form comparison integrand
+# comparison tail product w * phi'/phi -> 1
 # ----------------------------------------------------------------------
 
-def test_comparison_tail_product_limits():
-    for eps, target in ((0.0, 0.5), (1.0, 1.0 / 3.0)):
+def test_comparison_tail_product_limits(quadratic1, power1):
+    # on a -K ~ r^p tail the inner ratio w(s) behaves like 1/(phi'/phi)(s)
+    for surface in (quadratic1, power1):
+        mp = mode_pass(surface.metric, 0, 45.0)
         for s in (20.0, 40.0):
-            val = wd.comparison_tail_product(1.0, eps, s)
-            assert abs(val - target) / target < 0.05
-
-
-def test_comparison_tail_product_validation():
-    with pytest.raises(wd.DomainError):
-        wd.comparison_tail_product(-1.0, 0.0, 10.0)
+            product = float(mp.inner_ratio(s, 0) * surface.metric.dlog_phi(s))
+            assert abs(product - 1.0) < 0.05, (surface.name, s, product)
 
 
 # ----------------------------------------------------------------------
