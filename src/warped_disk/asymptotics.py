@@ -35,7 +35,6 @@ from .geometry import (
     MetricProfile,
     Surface,
     TailDescriptor,
-    profile_from_curvature,
 )
 from .modes import mode_pass
 
@@ -332,18 +331,6 @@ class ClassificationReport:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _normalize_subject(obj, horizon, step_control=(1e-10, 1e-12)):
-    """Accept Surface, MetricProfile, or CurvatureProfile."""
-    if isinstance(obj, Surface):
-        return obj.metric, obj.curvature
-    if isinstance(obj, MetricProfile):
-        return obj, None
-    if isinstance(obj, CurvatureProfile):
-        metric = profile_from_curvature(obj, r_max=horizon * 1.05, step_control=step_control)
-        return metric, obj
-    raise DomainError(f"cannot classify a {type(obj).__name__}")
-
-
 def _declared_labels(curv: CurvatureProfile, horizon, evidence) -> tuple[str, str, bool, list[str]]:
     """(harmonic, biharmonic, verified, notes) from a declared tail."""
     notes: list[str] = []
@@ -431,7 +418,7 @@ def _fit_descriptor(fit: TailFit, curv_fn, horizon) -> TailDescriptor | None:
 
 
 def classify_surface(
-    obj,
+    surface: Surface,
     horizon: float = DEFAULT_HORIZON,
     m_set=DEFAULT_M_SET,
     rtol: float = 1e-9,
@@ -442,14 +429,16 @@ def classify_surface(
     Labels are only combined when the routes agree; a disagreement
     downgrades to undetermined and is recorded in the notes.
     """
-    metric, curv = _normalize_subject(obj, horizon)
+    if not isinstance(surface, Surface):
+        raise DomainError(f"cannot classify a {type(surface).__name__}")
+    metric, curv = surface.metric, surface.curvature
     horizon = metric.require_radius(horizon)
     evidence = numeric_evidence(metric, m_set=m_set, horizon=horizon, rtol=rtol, atol=atol)
     notes: list[str] = []
 
-    declared = curv.tail if curv is not None else None
+    declared = curv.tail
     declared_verified = False
-    if curv is not None and declared is not None and declared.kind != "custom":
+    if declared is not None and declared.kind != "custom":
         h_dec, b_dec, declared_verified, dn = _declared_labels(curv, horizon, evidence)
         notes.extend(dn)
     else:
@@ -459,9 +448,7 @@ def classify_surface(
     if not declared_verified:
         # no declaration to lean on: fit a template and verify the implied
         # inequality on samples before using it
-        k_fn = curv.k if curv is not None else (
-            lambda r: -np.asarray(metric.phi_second(r)) / np.asarray(metric.phi(r))
-        )
+        k_fn = curv.k
         window = (max(horizon / 30.0, 2.0), horizon)
         try:
             tail_fit = fit_tail_exponent(k_fn, window)

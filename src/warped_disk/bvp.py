@@ -18,7 +18,6 @@ even when phi_m(R) itself overflows.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import math
 import warnings
@@ -61,7 +60,7 @@ class BoundaryTrace:
     """Samples of u and Delta u on the boundary circle of radius R.
 
     Angles are the N equispaced nodes theta_j = 2 pi j / N with N a
-    power of two.
+    power of two. Every sample must be finite.
     """
 
     radius: float
@@ -79,6 +78,8 @@ class BoundaryTrace:
             raise DomainError("disk radius must be positive")
         u = u.astype(complex) if np.iscomplexobj(u) else u.astype(float)
         lap = lap.astype(complex) if np.iscomplexobj(lap) else lap.astype(float)
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(lap))):
+            raise DomainError("trace samples must be finite")
         for arr in (u, lap):
             arr.flags.writeable = False
         object.__setattr__(self, "u_values", u)
@@ -98,9 +99,10 @@ class BoundaryTrace:
 class FourierSpectrum:
     """Boundary Fourier coefficients (alpha_m, beta_m) for |m| <= m_max.
 
-    Arrays are ordered m = -m_max ... m_max. ``truncation_energy`` is
-    the fraction of sample energy in the DFT bins that are not kept
-    (u trace, Delta u trace), so Parseval reads
+    Entry i of ``alpha`` and ``beta`` holds m = i - m_max (see
+    ``m_values``), the layout ``ModeCoefficients`` shares.
+    ``truncation_energy`` is the fraction of sample energy in the DFT
+    bins that are not kept (u trace, Delta u trace), so Parseval reads
     sum |alpha_m|^2 = (1 - truncation_energy[0]) * mean |u_j|^2, and the
     same for beta with the Delta u samples and truncation_energy[1].
 
@@ -166,12 +168,12 @@ def analyze_trace(trace: BoundaryTrace, m_max: int) -> FourierSpectrum:
     if n < 2 * m_max + 2:
         raise DomainError(f"need at least {2 * m_max + 2} samples for m_max = {m_max}")
 
+    bins = np.arange(-m_max, m_max + 1) % n
+
     def coefficients(values):
         spec = np.fft.fft(values) / n
         total = float(np.sum(np.abs(spec) ** 2))
-        kept = np.empty(2 * m_max + 1, dtype=complex)
-        for m in range(-m_max, m_max + 1):
-            kept[m + m_max] = spec[m % n]
+        kept = spec[bins]
         kept_energy = float(np.sum(np.abs(kept) ** 2))
         excess = max(total - kept_energy, 0.0) / total if total > 0.0 else 0.0
         return kept, excess
@@ -198,12 +200,11 @@ def synthesize_trace(spectrum: FourierSpectrum, radius: float, n: int) -> Bounda
     """Evaluate the spectrum back onto n equispaced boundary angles."""
     if not _is_power_of_two(n) or n < 2 * spectrum.m_max + 2:
         raise DomainError("n must be a power of two with n >= 2 m_max + 2")
+    bins = spectrum.m_values % n
     full_a = np.zeros(n, dtype=complex)
     full_b = np.zeros(n, dtype=complex)
-    for m in range(-spectrum.m_max, spectrum.m_max + 1):
-        a, b = spectrum.pair(m)
-        full_a[m % n] = a
-        full_b[m % n] = b
+    full_a[bins] = spectrum.alpha
+    full_b[bins] = spectrum.beta
     u = np.fft.ifft(full_a) * n
     lap = np.fft.ifft(full_b) * n
     if spectrum.real_valued:
@@ -218,19 +219,20 @@ def synthesize_trace(spectrum: FourierSpectrum, radius: float, n: int) -> Bounda
 
 @dataclass(frozen=True)
 class ModeCoefficients:
-    """Expansion coefficients (c_m, d_m) for |m| <= m_max.
+    """Expansion coefficients (c_m, d_m) for |m| <= spectrum.m_max.
 
-    When Lambda_m(R) exceeds the log-form threshold, exp(-Lambda) is not
-    representable and the plain coefficient underflows to zero; such
-    entries are flagged in ``underflow`` and their magnitudes kept in
-    ``log_c_mag``/``log_d_mag`` (natural log, with phases in the complex
-    entries). ``conditioning`` holds psi_m(R)/phi_m(R) = z(R) per |m|.
+    Every array has the spectrum's layout: entry i holds m = i - m_max
+    (``spectrum.m_values``). When Lambda_m(R) exceeds the log-form
+    threshold, exp(-Lambda) is not representable and the plain
+    coefficient underflows to zero; such entries are flagged in
+    ``underflow`` and their magnitudes kept in ``log_c_mag``/``log_d_mag``
+    (natural log, with phases in the complex entries). ``conditioning``
+    holds psi_m(R)/phi_m(R) = z(R), which depends on |m| only.
 
     The radial factors come from one dense mode pass over |m| = 0 .. m_max
     on (t0, R], which evaluation and verification read directly.
     """
 
-    m_max: int
     radius: float
     c: np.ndarray
     d: np.ndarray
@@ -239,25 +241,17 @@ class ModeCoefficients:
     log_d_mag: np.ndarray
     conditioning: np.ndarray
     spectrum: FourierSpectrum
-    real_valued: bool
     _modes: object = field(repr=False)   # the shared mode pass
 
-    def index(self, m: int) -> int:
-        if abs(m) > self.m_max:
-            raise DomainError(f"|m| <= {self.m_max} required")
-        return m + self.m_max
-
     def pair(self, m: int) -> tuple[complex, complex]:
-        i = self.index(m)
+        i = self.spectrum.index(m)
         return complex(self.c[i]), complex(self.d[i])
 
-    @property
-    def m_values(self) -> np.ndarray:
-        return np.arange(-self.m_max, self.m_max + 1)
 
-    @property
-    def truncation_energy(self) -> tuple[float, float]:
-        return self.spectrum.truncation_energy
+def _exp(x: np.ndarray) -> np.ndarray:
+    """math.exp elementwise: numpy's vector exp differs from it in the last bit for
+    about 5% of arguments, and the coefficients and boundary errors keep math.exp's."""
+    return np.array(list(map(math.exp, x.tolist())))
 
 
 def solve_disk_biharmonic(
@@ -275,53 +269,27 @@ def solve_disk_biharmonic(
     Coefficient underflow is flagged, never silent.
     """
     radius = profile.require_radius(radius)
-    m_max = spectrum.m_max
-    mp = mode_pass(profile, range(m_max + 1), radius, rtol=rtol, atol=atol)
-    lam_at_radius, z_at_radius = mp.lam_z(radius)
-    size = 2 * m_max + 1
-    c = np.zeros(size, dtype=complex)
-    d = np.zeros(size, dtype=complex)
-    underflow = np.zeros(size, dtype=bool)
-    log_c_mag = np.full(size, -math.inf)
-    log_d_mag = np.full(size, -math.inf)
-    conditioning = np.empty(size)
-
-    for m in range(-m_max, m_max + 1):
-        i = m + m_max
-        am = abs(m)
-        lam_r = float(lam_at_radius[am])
-        z_r = float(z_at_radius[am])
-        alpha_m, beta_m = spectrum.pair(m)
-        conditioning[i] = z_r
-        c_resid = alpha_m - beta_m * z_r
-        if abs(beta_m) > 0.0:
-            log_d_mag[i] = math.log(abs(beta_m)) - lam_r
-        if abs(c_resid) > 0.0:
-            log_c_mag[i] = math.log(abs(c_resid)) - lam_r
-        if lam_r <= _LOG_FORM_THRESHOLD:
-            scale = math.exp(-lam_r)
-            d[i] = beta_m * scale
-            c[i] = c_resid * scale
-        else:
-            # exp(-lam_r) underflows; keep the representable parts
-            d[i] = beta_m * 0.0
-            c[i] = c_resid * 0.0
-        if beta_m != 0 and d[i] == 0:
-            underflow[i] = True
-        if c_resid != 0 and c[i] == 0:
-            underflow[i] = True
-
+    mp = mode_pass(profile, range(spectrum.m_max + 1), radius, rtol=rtol, atol=atol)
+    am = np.abs(spectrum.m_values)
+    lam_r, z_r = (arr[am] for arr in mp.lam_z(radius))
+    alpha, beta = spectrum.alpha, spectrum.beta
+    c_resid = alpha - beta * z_r
+    # beyond the threshold exp(-Lambda) underflows; keep the representable parts
+    scale = np.where(lam_r <= _LOG_FORM_THRESHOLD, _exp(-lam_r), 0.0)
+    c = c_resid * scale
+    d = beta * scale
+    with np.errstate(divide="ignore"):
+        log_c_mag = np.log(np.abs(c_resid)) - lam_r
+        log_d_mag = np.log(np.abs(beta)) - lam_r
     return ModeCoefficients(
-        m_max=m_max,
         radius=radius,
         c=c,
         d=d,
-        underflow=underflow,
+        underflow=((beta != 0) & (d == 0)) | ((c_resid != 0) & (c == 0)),
         log_c_mag=log_c_mag,
         log_d_mag=log_d_mag,
-        conditioning=conditioning,
+        conditioning=z_r,
         spectrum=spectrum,
-        real_valued=spectrum.real_valued,
         _modes=mp,
     )
 
@@ -329,12 +297,14 @@ def solve_disk_biharmonic(
 def evaluate_solution(
     profile: MetricProfile, coeffs: ModeCoefficients, r: float, theta: float
 ):
-    """Partial-sum value of the disk solution at (r, theta), r <= R.
+    """Partial-sum value of the disk solution at one point (r, theta), r <= R.
 
-    Radial factors are read from the dense mode pass, one read for all m.
-    Below the pass's start t0 they follow its origin seed, Lambda_m(t0)
-    + |m| log(r/t0) and z(t0) (r/t0)^2. Requests beyond the disk are
-    refused.
+    Takes scalars and returns a float for a real-valued spectrum, a
+    complex otherwise. Radial factors are read from the dense mode pass,
+    one read for all m. Below the pass's start t0 they follow its origin
+    seed, Lambda_m(t0) + |m| log(r/t0) and z(t0) (r/t0)^2. At r = 0 only
+    m = 0 contributes, with phi_0(0) = 1 and z(0) = 0. Requests beyond
+    the disk are refused.
     """
     r = float(r)
     if r > coeffs.radius * (1.0 + 1e-12):
@@ -342,29 +312,22 @@ def evaluate_solution(
     r = min(r, coeffs.radius)
     if r < 0.0:
         raise DomainError("radius must be nonnegative")
-    mp = coeffs._modes
-    if r > 0.0:
+    m = coeffs.spectrum.m_values
+    if r == 0.0:
+        lam, z = np.where(m == 0, 0.0, -np.inf), 0.0
+    else:
+        mp = coeffs._modes
         t = max(r, mp.t0)
         lam, z = mp.lam_z(t)
         if r < t:
-            lam = lam + np.arange(coeffs.m_max + 1) * math.log(r / t)
+            lam = lam + np.array(mp.ms) * math.log(r / t)
             z = z * (r / t) ** 2
-    total = 0.0 + 0.0j
-    for m in range(-coeffs.m_max, coeffs.m_max + 1):
-        cm, dm = coeffs.pair(m)
-        if cm == 0 and dm == 0:
-            continue
-        if r == 0.0:
-            if m != 0:
-                continue
-            radial = cm + dm * 0.0   # phi_0(0) = 1, z(0) = 0
-        else:
-            am = abs(m)
-            radial = (cm + dm * float(z[am])) * math.exp(min(float(lam[am]), 700.0))
-        total += radial * cmath.exp(1j * m * theta)
-    if coeffs.real_valued:
+        lam, z = lam[np.abs(m)], z[np.abs(m)]
+    radial = (coeffs.c + coeffs.d * z) * np.exp(np.minimum(lam, 700.0))
+    total = radial @ np.exp(1j * theta * m)
+    if coeffs.spectrum.real_valued:
         return float(total.real)
-    return total
+    return complex(total)
 
 
 # ----------------------------------------------------------------------
@@ -373,7 +336,7 @@ def evaluate_solution(
 
 @dataclass(frozen=True)
 class DiskResidualReport:
-    """Interior residuals per mode and boundary reproduction errors.
+    """Interior residuals over all modes and boundary reproduction errors.
 
     ``interior_max``/``interior_rms`` cover the scaled per-mode residual
     |L_m F_m - d_m phi_m| / max over the grid of (1, |F_m|), where
@@ -383,7 +346,6 @@ class DiskResidualReport:
 
     interior_max: float
     interior_rms: float
-    per_mode_max: dict
     boundary_u_error: float
     boundary_lap_error: float
 
@@ -397,47 +359,37 @@ def verify_disk_solution(
         raise DomainError("verification grid must stay inside (0, R]")
     if x[-1] > coeffs.radius * (1.0 + 1e-12):
         raise DomainError("verification grid extends beyond the disk")
+    spectrum = coeffs.spectrum
     mp = coeffs._modes
     v = np.asarray(profile.dlog_phi(x), dtype=float)
     phi = np.asarray(profile.phi(x), dtype=float)
     lam, z = mp.lam_z(x)
 
-    per_mode = {}
     worst = 0.0
     sq_sum = 0.0
-    n_res = 0
-    for m in range(-coeffs.m_max, coeffs.m_max + 1):
+    for m in range(-spectrum.m_max, spectrum.m_max + 1):
         cm, dm = coeffs.pair(m)
         am = abs(m)
         phim = np.exp(np.minimum(lam[am], 700.0))
         fm = (cm + dm * z[am]) * phim
         res = separated_laplacian(m, x, fm.real, v, phi=phi) - dm.real * phim
-        if np.iscomplexobj(fm) and (abs(cm.imag) > 0 or abs(dm.imag) > 0):
-            res_im = separated_laplacian(m, x, fm.imag, v, phi=phi) - dm.imag * phim
-            res = res + 1j * res_im
-        scale = max(1.0, float(np.max(np.abs(fm))))
-        scaled = np.abs(res[1:-1]) / scale
-        per_mode[m] = float(np.max(scaled))
-        worst = max(worst, per_mode[m])
+        if cm.imag or dm.imag:
+            res = res + 1j * (separated_laplacian(m, x, fm.imag, v, phi=phi) - dm.imag * phim)
+        scaled = np.abs(res[1:-1]) / max(1.0, float(np.max(np.abs(fm))))
+        worst = max(worst, float(np.max(scaled)))
         sq_sum += float(np.sum(scaled**2))
-        n_res += scaled.size
 
-    bu = 0.0
-    bl = 0.0
-    lam_at_radius, z_at_radius = mp.lam_z(coeffs.radius)
-    for m in range(-coeffs.m_max, coeffs.m_max + 1):
-        cm, dm = coeffs.pair(m)
-        am = abs(m)
-        lam_r = float(lam_at_radius[am])
-        z_r = float(z_at_radius[am])
-        alpha_m, beta_m = coeffs.spectrum.pair(m)
-        phim = math.exp(min(lam_r, 700.0))
-        bu += abs((cm + dm * z_r) * phim - alpha_m)
-        bl += abs(dm * phim - beta_m)
+    am = np.abs(spectrum.m_values)
+    lam_r, z_r = (arr[am] for arr in mp.lam_z(coeffs.radius))
+    phim = _exp(np.minimum(lam_r, 700.0))
+    u_err = (coeffs.c + coeffs.d * z_r) * phim - spectrum.alpha
+    lap_err = coeffs.d * phim - spectrum.beta
+    # np.hypot rounds as abs() of a complex scalar does (np.abs of a complex
+    # array does not), and cumsum adds the modes in order
+    bu, bl = (float(np.cumsum(np.hypot(e.real, e.imag))[-1]) for e in (u_err, lap_err))
     return DiskResidualReport(
         interior_max=worst,
-        interior_rms=math.sqrt(sq_sum / max(n_res, 1)),
-        per_mode_max=per_mode,
+        interior_rms=math.sqrt(sq_sum / (am.size * (x.size - 2))),
         boundary_u_error=bu,
         boundary_lap_error=bl,
     )
@@ -451,7 +403,7 @@ def read_trace_csv(path, radius: float) -> BoundaryTrace:
     """Read a trace file with columns theta, u, lap_u.
 
     Angles must be the equispaced grid 2 pi j / N in order. A row that
-    does not start with three numbers is refused with its line number.
+    does not start with three finite numbers is refused with its line number.
     """
     thetas = []
     u = []
@@ -469,6 +421,8 @@ def read_trace_csv(path, radius: float) -> BoundaryTrace:
             except ValueError:
                 raise DomainError(f"{path}, line {reader.line_num}: expected three numbers "
                                   f"theta,u,lap_u, got {row!r}") from None
+            if not all(map(math.isfinite, (theta_j, u_j, lap_j))):
+                raise DomainError(f"{path}, line {reader.line_num}: non-finite sample in {row!r}")
             thetas.append(theta_j)
             u.append(u_j)
             lap.append(lap_j)
@@ -492,8 +446,7 @@ def write_trace_csv(path, trace: BoundaryTrace) -> None:
 
 def write_coefficients_csv(path, coeffs: ModeCoefficients) -> None:
     """Coefficient output: m, re_c, im_c, re_d, im_d."""
-    rows = []
-    for m in range(-coeffs.m_max, coeffs.m_max + 1):
-        cm, dm = coeffs.pair(m)
-        rows.append((m, cm.real, cm.imag, dm.real, dm.imag))
+    c, d = coeffs.c, coeffs.d
+    rows = zip(coeffs.spectrum.m_values.tolist(), c.real.tolist(), c.imag.tolist(),
+               d.real.tolist(), d.imag.tolist())
     write_csv(path, ["m", "re_c", "im_c", "re_d", "im_d"], rows)

@@ -144,6 +144,11 @@ def build_config(args) -> RunConfig:
 
 def _surface(cfg: RunConfig) -> geometry.Surface:
     if cfg.profile.endswith((".cfg", ".ini", ".profile")):
+        # the file defines the surface; a parameter given beside it would be dropped
+        for key in ("eps", "eta", "r0"):
+            if getattr(cfg, key) is not None:
+                raise DomainError(f"--{key} (or [profile] {key}) cannot be combined with "
+                                  f"the profile file {cfg.profile}; set {key} in that file")
         return geometry.read_profile_file(cfg.profile)
     return geometry.builtin_profile(
         cfg.profile,

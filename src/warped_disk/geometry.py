@@ -30,7 +30,6 @@ __all__ = [
     "Surface",
     "profile_from_curvature",
     "builtin_profile",
-    "builtin_names",
     "read_profile_file",
 ]
 
@@ -51,7 +50,6 @@ class RadialGrid:
     """Strictly increasing radii r_0 < r_1 < ... < r_N with N >= 2."""
 
     nodes: np.ndarray
-    spacing: str = "uniform"
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -61,23 +59,19 @@ class RadialGrid:
             raise DomainError("grid nodes must be strictly increasing")
         if nodes[0] < 0.0:
             raise DomainError("grid nodes must be nonnegative")
-        if self.spacing not in ("uniform", "geometric"):
-            raise DomainError(f"unknown grid spacing {self.spacing!r}")
-        if self.spacing == "geometric" and nodes[0] <= 0.0:
-            raise DomainError("geometric grids must start at a positive radius")
         nodes = nodes.copy()
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
 
     @classmethod
     def uniform(cls, a: float, b: float, n: int) -> "RadialGrid":
-        return cls(np.linspace(a, b, n), "uniform")
+        return cls(np.linspace(a, b, n))
 
     @classmethod
     def geometric(cls, a: float, b: float, n: int) -> "RadialGrid":
         if a <= 0.0:
             raise DomainError("geometric grids must start at a positive radius")
-        return cls(np.geomspace(a, b, n), "geometric")
+        return cls(np.geomspace(a, b, n))
 
     def __len__(self) -> int:
         return self.nodes.size
@@ -246,14 +240,13 @@ def profile_from_curvature(
     curvature,
     r_max: float,
     step_control: tuple[float, float] = (DEFAULT_RTOL, DEFAULT_ATOL),
-    h0: float = ORIGIN_STEP,
     name: str = "",
 ) -> MetricProfile:
     """Integrate phi'' = -K phi with phi(0) = 0, phi'(0) = 1.
 
     The ODE is carried as (u, v) = (log phi, phi'/phi), which keeps the
     state representable when phi grows like exp(r^p). Integration starts
-    at ``h0`` from the two-term series phi ~ h0 - K(0) h0^3/6.
+    at h0 = ORIGIN_STEP from the two-term series phi ~ h0 - K(0) h0^3/6.
 
     Raises ConjugatePointError when phi collapses to zero at some
     positive radius, and IntegrationError when the solver gives up.
@@ -262,8 +255,9 @@ def profile_from_curvature(
     rtol, atol = float(step_control[0]), float(step_control[1])
     if rtol <= 0.0 or atol <= 0.0:
         raise DomainError("step_control tolerances must be positive")
-    if not (0.0 < h0 < r_max):
-        raise DomainError("origin step h0 must lie in (0, r_max)")
+    h0 = ORIGIN_STEP
+    if not h0 < r_max:
+        raise DomainError(f"r_max must exceed the origin step {h0:g}")
 
     probe = np.geomspace(h0, r_max, 64)
     kp = np.asarray([k_fn(r) for r in probe], dtype=float)
@@ -442,10 +436,6 @@ def _blended_curvature(tail_fn: Callable, r0: float) -> Callable:
         return (1.0 - s) * cap + s * tail
 
     return k
-
-
-def builtin_names() -> tuple[str, ...]:
-    return ("euclidean", "hyperbolic", "log-threshold", "power-curvature", "quadratic-curvature")
 
 
 def builtin_profile(

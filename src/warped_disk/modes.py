@@ -189,6 +189,7 @@ class _ModePass:
         self.t0 = t0
         n = len(ms)
         m_ref = ms[-1]
+        self._lam_scale = np.array(ms) / max(m_ref, 1)   # Lambda_m / Lambda_ref per row
         slots = [(k, 2.0 * am) for k, am in enumerate(ms, start=1)]
         u_of = profile.log_phi
         v_of = profile.dlog_phi
@@ -256,11 +257,11 @@ class _ModePass:
             raise DomainError(f"mode values only available for r >= {self.t0:g}")
         return self._sol(np.maximum(r, self.t0))
 
-    def _lam(self, states, k: int):
-        am = self.ms[k]
-        if am == 0:
-            return np.zeros_like(states[0])
-        return (states[0] - self.lam_at_one) * (am / self.ms[-1])
+    def _lams(self, states) -> np.ndarray:
+        """Lambda_m for every |m| in ``ms`` (row k holds m = ms[k]); Lambda_0 is +0.0."""
+        lam = np.multiply.outer(self._lam_scale, states[0] - self.lam_at_one)
+        lam[self._lam_scale == 0.0] = 0.0   # 0 times a negative Lambda_ref is -0.0
+        return lam
 
     def inner_ratio(self, r, m=None):
         """w(r): the scaled inner integral the growth lemmas are about."""
@@ -270,13 +271,15 @@ class _ModePass:
         """(Lambda_m, w_m, z_m) at the radii r."""
         k = self._index(m)
         out = self._states(r)
-        return self._lam(out, k), np.exp(out[1 + k]), out[1 + len(self.ms) + k]
+        return self._lams(out)[k], np.exp(out[1 + k]), out[1 + len(self.ms) + k]
 
     def lam_z(self, r):
-        """(Lambda_m, z_m) at the radii r for every |m| in ``ms``, from one read."""
+        """(Lambda_m, z_m) at the radii r for every |m| in ``ms``, from one read.
+
+        Row k of either array holds m = ms[k].
+        """
         out = self._states(r)
-        n = len(self.ms)
-        return np.array([self._lam(out, k) for k in range(n)]), out[1 + n:]
+        return self._lams(out), out[1 + len(self.ms):]
 
 
 # Dense-output interpolation error is not controlled by the step

@@ -186,24 +186,11 @@ def test_route_consistency(all_builtins):
         assert not any("says" in note for note in report.notes)
 
 
-def test_classify_accepts_bare_curvature():
-    curv = wd.CurvatureProfile(
-        k=lambda r: np.full_like(np.asarray(r, dtype=float), -1.0),
-        tail=wd.TailDescriptor("between", r0=2.0, eps=1.0, eta=1.0),
-    )
-    report = wd.classify_surface(curv, horizon=200.0, m_set=(1, 2, 3))
-    assert report.harmonic_regime == wd.HYPERBOLIC
-
-
-def test_classify_bare_metric_numeric_route(euclidean):
-    report = wd.classify_surface(euclidean.metric, horizon=500.0, m_set=(1, 2))
-    assert report.harmonic_regime == wd.PARABOLIC
-    assert report.route == "numeric"
-
-
-def test_classify_rejects_other_types():
-    with pytest.raises(wd.DomainError):
-        wd.classify_surface(42)
+def test_classify_rejects_other_types(euclidean):
+    # a Surface carries the curvature the tail checks need; its parts alone are refused
+    for subject in (42, euclidean.metric, euclidean.curvature):
+        with pytest.raises(wd.DomainError):
+            wd.classify_surface(subject)
 
 
 # ----------------------------------------------------------------------

@@ -50,6 +50,16 @@ def test_trace_validation():
         bvp.BoundaryTrace(-1.0, np.ones(8), np.zeros(8))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trace_refuses_non_finite_samples(bad):
+    samples = np.ones(8)
+    samples[3] = bad
+    with pytest.raises(wd.DomainError, match="finite"):
+        bvp.BoundaryTrace(1.0, samples, np.zeros(8))
+    with pytest.raises(wd.DomainError, match="finite"):
+        bvp.BoundaryTrace(1.0, np.zeros(8), samples.astype(complex))
+
+
 def test_analyze_constant_trace():
     trace = bvp.BoundaryTrace(1.0, np.ones(16), np.zeros(16))
     spec = wd.analyze_trace(trace, 4)
@@ -190,6 +200,31 @@ def test_solve_recovers_random_coefficients(hyperbolic):
     assert_allclose(coeffs.c, c, rtol=1e-7, atol=1e-9)
     assert_allclose(coeffs.d, d, rtol=1e-7, atol=1e-9)
     assert_allclose(coeffs.conditioning[::-1], coeffs.conditioning)  # z(R) per |m|
+
+
+def test_solve_and_boundary_check_equal_the_per_mode_formulas(hyperbolic):
+    # the array expressions must round exactly as the scalar per-m formulas
+    rng = np.random.default_rng(12)
+    m_max, radius = 5, 2.5
+    alpha = rng.normal(size=11) + 1j * rng.normal(size=11)
+    beta = rng.normal(size=11) + 1j * rng.normal(size=11)
+    beta[3] = 0.0
+    spec = spectrum_from_arrays(m_max, alpha, beta)
+    coeffs = wd.solve_disk_biharmonic(hyperbolic.metric, radius, spec)
+    lam, z = coeffs._modes.lam_z(radius)
+    bu = bl = 0.0
+    for i, m in enumerate(range(-m_max, m_max + 1)):
+        lam_r, z_r = float(lam[abs(m)]), float(z[abs(m)])
+        a, b = complex(alpha[i]), complex(beta[i])
+        scale = math.exp(-lam_r)
+        c, d = (a - b * z_r) * scale, b * scale
+        assert coeffs.pair(m) == (c, d)
+        assert coeffs.conditioning[i] == z_r
+        phim = math.exp(lam_r)
+        bu += abs((c + d * z_r) * phim - a)
+        bl += abs(d * phim - b)
+    report = wd.verify_disk_solution(hyperbolic.metric, coeffs, RadialGrid.uniform(0.5, radius, 33))
+    assert (report.boundary_u_error, report.boundary_lap_error) == (bu, bl)
 
 
 def test_solve_flags_underflow():
@@ -409,6 +444,17 @@ def test_trace_csv_names_the_malformed_line(tmp_path, row):
     path = tmp_path / "bad.csv"
     path.write_text(f"theta,u,lap_u\n0.0,1.0,0.0\n{row}\n")
     with pytest.raises(wd.DomainError, match=r"bad\.csv, line 3: expected three numbers"):
+        bvp.read_trace_csv(path, radius=1.0)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_trace_csv_names_the_non_finite_line(tmp_path, cell):
+    theta = (2.0 * np.pi * np.arange(4) / 4).tolist()
+    rows = [f"{t!r},1.0,0.0" for t in theta]
+    rows[2] = f"{theta[2]!r},1.0,{cell}"
+    path = tmp_path / "bad.csv"
+    path.write_text("theta,u,lap_u\n" + "\n".join(rows) + "\n")
+    with pytest.raises(wd.DomainError, match=r"bad\.csv, line 4: non-finite sample"):
         bvp.read_trace_csv(path, radius=1.0)
 
 

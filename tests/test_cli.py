@@ -83,6 +83,49 @@ def test_malformed_profile_file_is_a_configuration_error(tmp_path, capsys, text)
     assert "configuration error" in capsys.readouterr().err
 
 
+def _power_profile_file(tmp_path):
+    path = tmp_path / "p1.profile"
+    path.write_text("[profile]\nname = power-curvature\neps = 1\nr_max = 10\n")
+    return path
+
+
+@pytest.mark.parametrize("extra, key", [
+    pytest.param(["--eps", "2"], "eps", id="eps_flag"),
+    pytest.param(["--eta", "1"], "eta", id="eta_flag"),
+    pytest.param(["--r0", "2"], "r0", id="r0_flag"),
+    pytest.param("[profile]\neps = 2\n", "eps", id="eps_config_key"),
+])
+def test_profile_parameters_beside_a_profile_file_are_refused(tmp_path, capsys, extra, key):
+    if isinstance(extra, str):
+        (tmp_path / "run.cfg").write_text(extra)
+        extra = ["--config", str(tmp_path / "run.cfg")]
+    out = tmp_path / "out"
+    argv = ["modes", "--profile", str(_power_profile_file(tmp_path)), *extra,
+            "--horizon", "5", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert f"--{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tolerances_beside_a_profile_file_are_accepted(tmp_path):
+    argv = ["modes", "--profile", str(_power_profile_file(tmp_path)), "--tol", "1e-8,1e-10",
+            "--horizon", "5", "--mmax", "1", "--grid", "geometric,1e-3,32",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_OK
+
+
+def test_bvp_refuses_a_non_finite_trace_before_writing(tmp_path, capsys):
+    theta = (2.0 * math.pi * np.arange(16) / 16).tolist()
+    rows = [f"{t!r},{math.cos(t)!r},0.0" for t in theta]
+    rows[5] = f"{theta[5]!r},nan,0.0"
+    trace = tmp_path / "trace.csv"
+    trace.write_text("theta,u,lap_u\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["bvp", str(trace), "--radius", "1", "--out", str(out)]) == cli.EXIT_USAGE
+    assert "trace.csv, line 7: non-finite sample" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_comparison_suite_finds_no_conclusion_failure(tmp_path):
     ok, lines = cli._suite_comparison(cli.RunConfig(), tmp_path)
     assert ok

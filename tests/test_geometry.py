@@ -35,8 +35,6 @@ def test_grid_invariants():
         RadialGrid(np.array([0.0, 1.0]))
     with pytest.raises(wd.DomainError):
         RadialGrid.geometric(0.0, 1.0, 8)
-    with pytest.raises(wd.DomainError):
-        RadialGrid(np.array([0.1, 0.2, 0.3]), spacing="chebyshev")
 
 
 def test_grid_nodes_immutable():

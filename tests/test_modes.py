@@ -46,7 +46,7 @@ def test_hyperbolic_mode_closed_form(hyperbolic):
 
 
 def test_mode_normalized_at_one(euclidean, hyperbolic):
-    grid = RadialGrid(np.array([0.5, 0.75, 1.0, 2.0, 3.0]), spacing="uniform")
+    grid = RadialGrid(np.array([0.5, 0.75, 1.0, 2.0, 3.0]))
     for surface in (euclidean, hyperbolic):
         mode = wd.biharmonic_mode(surface.metric, 2, grid).harmonic()
         assert abs(mode.lam[2]) < 1e-10
