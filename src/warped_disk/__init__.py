@@ -51,7 +51,6 @@ from .geometry import (
 )
 from .modes import (
     BiharmonicMode,
-    LogMode,
     biharmonic_mode,
     verify_mode_residuals,
 )

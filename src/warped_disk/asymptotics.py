@@ -36,7 +36,7 @@ from .geometry import (
     Surface,
     TailDescriptor,
 )
-from .modes import mode_pass
+from .modes import DEFAULT_ATOL, DEFAULT_RTOL, mode_pass
 
 __all__ = [
     "PARABOLIC",
@@ -254,8 +254,8 @@ def numeric_evidence(
     profile: MetricProfile,
     m_set=DEFAULT_M_SET,
     horizon: float = DEFAULT_HORIZON,
-    rtol: float = 1e-9,
-    atol: float = 1e-11,
+    rtol: float = DEFAULT_RTOL,
+    atol: float = DEFAULT_ATOL,
 ) -> EvidenceBundle:
     """Boundedness verdicts for phi_m and z, and the ratio decay slope.
 
@@ -421,8 +421,8 @@ def classify_surface(
     surface: Surface,
     horizon: float = DEFAULT_HORIZON,
     m_set=DEFAULT_M_SET,
-    rtol: float = 1e-9,
-    atol: float = 1e-11,
+    rtol: float = DEFAULT_RTOL,
+    atol: float = DEFAULT_ATOL,
 ) -> ClassificationReport:
     """Full two-route classification of a surface.
 

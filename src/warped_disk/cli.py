@@ -36,6 +36,7 @@ EXIT_USAGE = 64
 EXIT_NUMERIC = 70
 
 _MACH_EPS = float(np.finfo(float).eps)
+_BUILTIN_R_MAX = 1200.0   # radius of validity of a built-in when r_max is not given
 
 
 @dataclass
@@ -44,14 +45,14 @@ class RunConfig:
     eps: float | None = None
     eta: float | None = None
     r0: float | None = None
-    r_max: float = 1200.0
+    r_max: float | None = None   # None: _BUILTIN_R_MAX (a profile file sets its own)
     horizon: float = 1000.0
     m_max: int = 8
     grid_kind: str = "geometric"
     grid_min: float = 1e-3
     grid_n: int = 512
-    rtol: float = 1e-9
-    atol: float = 1e-11
+    rtol: float = modes.DEFAULT_RTOL
+    atol: float = modes.DEFAULT_ATOL
     boundary_tol: float = 1e-8
     radius: float = 3.0
     out_dir: str = "."
@@ -62,7 +63,9 @@ class RunConfig:
             raise DomainError("tolerances must be positive")
         if self.m_max < 0:
             raise DomainError("m-range must be symmetric around 0: m_max >= 0")
-        if self.horizon > self.r_max:
+        # a profile file's own r_max is checked on the surface it builds
+        r_max = _BUILTIN_R_MAX if self.r_max is None else self.r_max
+        if self.horizon > r_max and not _is_profile_file(self.profile):
             raise DomainError("horizon must not exceed r_max")
         if self.grid_kind not in ("uniform", "geometric"):
             raise DomainError(f"unknown grid kind {self.grid_kind!r}")
@@ -142,21 +145,26 @@ def build_config(args) -> RunConfig:
     return cfg
 
 
+def _is_profile_file(name: str) -> bool:
+    return name.endswith((".cfg", ".ini", ".profile"))
+
+
 def _surface(cfg: RunConfig) -> geometry.Surface:
-    if cfg.profile.endswith((".cfg", ".ini", ".profile")):
+    if _is_profile_file(cfg.profile):
         # the file defines the surface; a parameter given beside it would be dropped
-        for key in ("eps", "eta", "r0"):
+        for key in ("eps", "eta", "r0", "r_max"):
             if getattr(cfg, key) is not None:
-                raise DomainError(f"--{key} (or [profile] {key}) cannot be combined with "
-                                  f"the profile file {cfg.profile}; set {key} in that file")
+                raise DomainError(f"--{key.replace('_', '')} (or [profile] {key}) cannot be "
+                                  f"combined with the profile file {cfg.profile}; "
+                                  f"set {key} in that file")
         return geometry.read_profile_file(cfg.profile)
     return geometry.builtin_profile(
         cfg.profile,
         eps=cfg.eps,
         eta=cfg.eta,
         r0=cfg.r0,
-        r_max=cfg.r_max,
-        step_control=(min(cfg.rtol, 1e-10), min(cfg.atol, 1e-12)),
+        r_max=_BUILTIN_R_MAX if cfg.r_max is None else cfg.r_max,
+        step_control=(min(cfg.rtol, geometry.DEFAULT_RTOL), min(cfg.atol, geometry.DEFAULT_ATOL)),
     )
 
 
@@ -200,18 +208,17 @@ def _run_grid(cfg: RunConfig, r_max: float) -> geometry.RadialGrid:
 
 def cmd_modes(cfg: RunConfig) -> int:
     surface = _surface(cfg)
-    grid = _run_grid(cfg, min(cfg.horizon, surface.metric.r_max))
+    grid = _run_grid(cfg, surface.metric.require_radius(cfg.horizon))
     out = _outdir(cfg)
     print(f"profile = {surface.name}")
     print("m  max_scaled_residual_eq4  max_scaled_residual_eq6  file")
     bmodes = modes.biharmonic_mode(surface.metric, range(cfg.m_max + 1), grid,
                                    rtol=cfg.rtol, atol=cfg.atol)
     for m, bmode in enumerate(bmodes):
-        rep4 = modes.verify_mode_residuals(surface.metric, bmode.harmonic())
-        rep6 = modes.verify_mode_residuals(surface.metric, bmode)
+        rep = modes.verify_mode_residuals(surface.metric, bmode)
         path = out / f"mode_{m}.csv"
         modes.export_mode_csv(path, bmode)
-        print(f"{m}  {rep4.max_scaled:.6e}  {rep6.max_scaled:.6e}  {path}")
+        print(f"{m}  {rep.harmonic:.6e}  {rep.biharmonic:.6e}  {path}")
     return EXIT_OK
 
 
@@ -263,14 +270,15 @@ def _suite_stencil(cfg: RunConfig, out: Path) -> tuple[bool, list[str]]:
     rows = []
     surfaces = [geometry.builtin_profile("euclidean"), geometry.builtin_profile("hyperbolic")]
     for surface in surfaces:
-        metric = surface.metric
+        metric, k = surface.metric, surface.curvature.k
         if cfg.inject_fault == "stencil" and surface.name == "euclidean":
-            metric = replace(metric, name="euclidean(faulted)",
-                             phi_second=lambda r: 0.3 * np.ones_like(np.asarray(r, dtype=float)))
-        # phi'' consistency against differenced phi'
+            metric = replace(metric, name="euclidean(faulted)")
+            k = lambda r: -0.3 / r   # phi'' = 0.3 where the metric has 0
+        # phi'' = -K phi against differenced phi'
         x = np.linspace(1.0, 2.0, 201)
         d1, _ = operators.sample_derivatives(x, np.asarray(metric.phi_prime(x), dtype=float))
-        mism = float(np.max(np.abs(d1 - np.asarray(metric.phi_second(x), dtype=float))))
+        phi_second = -np.asarray(k(x), dtype=float) * np.asarray(metric.phi(x), dtype=float)
+        mism = float(np.max(np.abs(d1 - phi_second)))
         limit = 1e-4
         cons_ok = mism <= limit
         ok &= cons_ok
@@ -283,8 +291,7 @@ def _suite_stencil(cfg: RunConfig, out: Path) -> tuple[bool, list[str]]:
             for n in (65, 129, 257):
                 grid = geometry.RadialGrid.uniform(1.0, 2.0, n)
                 bmode = modes.biharmonic_mode(surface.metric, m, grid)
-                rep = modes.verify_mode_residuals(metric, bmode)
-                maxima.append(rep.max_scaled)
+                maxima.append(modes.verify_mode_residuals(metric, bmode).biharmonic)
             ratios = [maxima[i] / maxima[i + 1] for i in range(len(maxima) - 1)]
             conv_ok = maxima[-1] <= 1e-8 or all(3.3 <= q <= 4.7 for q in ratios)
             ok &= conv_ok

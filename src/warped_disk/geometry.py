@@ -191,8 +191,8 @@ class CurvatureProfile:
 class MetricProfile:
     """The warp function of a rotationally symmetric metric.
 
-    ``phi``, ``phi_prime`` and ``phi_second`` evaluate the warp function
-    and its derivatives on (0, r_max]; ``log_phi`` and ``dlog_phi``
+    ``phi`` and ``phi_prime`` evaluate the warp function and its
+    derivative on (0, r_max]; ``log_phi`` and ``dlog_phi``
     (= phi'/phi) stay finite where phi itself overflows. All evaluators
     accept scalars or arrays and are pure, so profiles are safe to share
     across threads. ``name`` labels the surface in reports.
@@ -200,7 +200,6 @@ class MetricProfile:
 
     phi: Callable
     phi_prime: Callable
-    phi_second: Callable
     log_phi: Callable
     dlog_phi: Callable
     r_max: float
@@ -341,16 +340,9 @@ def profile_from_curvature(
         u, v = _uv(r)
         return v * np.exp(u)
 
-    def phi_second(r):
-        u, _ = _uv(r)
-        r = np.asarray(r, dtype=float)
-        k = np.asarray(k_fn(r if r.ndim else float(r)), dtype=float)
-        return -k * np.exp(u)
-
     return MetricProfile(
         phi=phi,
         phi_prime=phi_prime,
-        phi_second=phi_second,
         log_phi=log_phi,
         dlog_phi=dlog_phi,
         r_max=r_hi,
@@ -366,7 +358,6 @@ def _euclidean_profile() -> MetricProfile:
     return MetricProfile(
         phi=lambda r: np.asarray(r, dtype=float) + 0.0,
         phi_prime=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-        phi_second=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         log_phi=lambda r: np.log(r),
         dlog_phi=lambda r: 1.0 / np.asarray(r, dtype=float),
         r_max=ANALYTIC_R_MAX,
@@ -407,7 +398,6 @@ def _hyperbolic_profile() -> MetricProfile:
     return MetricProfile(
         phi=_sinh_safe,
         phi_prime=_cosh_safe,
-        phi_second=_sinh_safe,
         log_phi=_log_sinh,
         dlog_phi=_coth,
         r_max=ANALYTIC_R_MAX,

@@ -39,7 +39,6 @@ from .operators import sample_derivatives  # noqa: F401 -- patched by benchmarks
 from .operators import separated_laplacian
 
 __all__ = [
-    "LogMode",
     "BiharmonicMode",
     "ResidualReport",
     "biharmonic_mode",
@@ -64,40 +63,11 @@ _ORIGIN_FRACTION = 0.5  # integration starts at min(1e-5, r_min * this)
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LogMode:
-    """A radial harmonic mode stored as Lambda_m = log phi_m on a grid."""
-
-    m: int
-    grid: RadialGrid
-    lam: np.ndarray
-    quadrature_error: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
-        err = np.asarray(self.quadrature_error, dtype=float)
-        if lam.shape != self.grid.nodes.shape or err.shape != lam.shape:
-            raise DomainError("mode arrays must match the grid length")
-        if self.m != 0 and np.any(np.diff(lam) < -1e-9 * np.maximum(1.0, np.abs(lam[:-1]))):
-            raise DomainError("Lambda_m must be nondecreasing")
-        if self.m == 0 and np.any(lam != 0.0):
-            raise DomainError("Lambda_0 vanishes identically")
-        for arr in (lam, err):
-            arr.flags.writeable = False
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "quadrature_error", err)
-
-    def phi_values(self) -> np.ndarray:
-        """phi_m on the grid; overflows to inf where Lambda_m > ~709."""
-        with np.errstate(over="ignore"):
-            return np.exp(self.lam)
-
-
-@dataclass(frozen=True)
 class BiharmonicMode:
     """The mode pair phi_m, psi_m = z phi_m as Lambda_m, z and log psi_m on a grid.
 
     ``quadrature_error`` bounds log psi_m per node; ``lam_error`` bounds
-    Lambda_m alone and is what ``harmonic()`` reports.
+    Lambda_m = log phi_m alone.
     """
 
     m: int
@@ -109,25 +79,21 @@ class BiharmonicMode:
     lam_error: np.ndarray
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        if np.any(z <= 0.0):
-            raise DomainError("the reduction factor is positive for r > 0")
-        if np.any(np.diff(z) < -1e-12 * z[:-1]):
-            raise DomainError("the reduction factor is nondecreasing")
         for name in ("lam", "z", "log_psi", "quadrature_error", "lam_error"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != self.grid.nodes.shape:
                 raise DomainError("mode arrays must match the grid length")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    def psi_values(self) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_psi)
-
-    def harmonic(self) -> LogMode:
-        """The harmonic mode phi_m of the pair, with the Lambda_m-only bound."""
-        return LogMode(m=self.m, grid=self.grid, lam=self.lam, quadrature_error=self.lam_error)
+        lam, z = self.lam, self.z
+        if self.m != 0 and np.any(np.diff(lam) < -1e-9 * np.maximum(1.0, np.abs(lam[:-1]))):
+            raise DomainError("Lambda_m must be nondecreasing")
+        if self.m == 0 and np.any(lam != 0.0):
+            raise DomainError("Lambda_0 vanishes identically")
+        if np.any(z <= 0.0):
+            raise DomainError("the reduction factor is positive for r > 0")
+        if np.any(np.diff(z) < -1e-12 * z[:-1]):
+            raise DomainError("the reduction factor is nondecreasing")
 
 
 # ----------------------------------------------------------------------
@@ -317,7 +283,8 @@ def biharmonic_mode(
     Lambda_m = |m| * integral_1^r ds/phi is signed (negative for r < 1)
     and normalized so that phi_m(1) = 1. Per-node error bounds come from
     comparing the requested-tolerance pass against one two orders
-    tighter; ``harmonic()`` gives phi_m alone with its own bound.
+    tighter: ``quadrature_error`` for log psi_m, ``lam_error`` for
+    Lambda_m alone.
     """
     if rtol <= 0.0 or atol <= 0.0:
         raise DomainError("quadrature tolerances must be positive")
@@ -373,73 +340,53 @@ def mode_pass(profile: MetricProfile, m, r_end: float,
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Scaled residuals of the mode ODE over interior grid nodes.
+    """Largest scaled residuals of a mode pair over the interior grid nodes.
 
-    For a harmonic mode the residual is |L_m phi_m| / max(1, phi_m);
-    for a biharmonic mode it is |L_m psi_m - phi_m| / max(1, phi_m).
+    ``harmonic`` is max |L_m phi_m| / max(1, phi_m) (eq4) and
+    ``biharmonic`` is max |L_m psi_m - phi_m| / max(1, phi_m) (eq6).
     """
 
-    m: int
-    equation: str              # "harmonic" | "biharmonic"
-    max_scaled: float
-    rms_scaled: float
-    radii: np.ndarray
-    residuals: np.ndarray
+    harmonic: float
+    biharmonic: float
 
 
 _LINEAR_LAM_CAP = 300.0  # below this, exp(Lambda) is safely representable
 
 
-def verify_mode_residuals(profile: MetricProfile, mode) -> ResidualReport:
-    """Check a computed mode against the separated Laplacian stencils.
+def verify_mode_residuals(profile: MetricProfile, mode: BiharmonicMode) -> ResidualReport:
+    """Check a mode pair against L_m phi_m = 0 and L_m psi_m = phi_m.
 
-    Small modes are differenced in linear space (the stencils are then
-    exact on low-degree polynomial modes); large ones through the log
-    form of ``separated_laplacian``, which stays representable.
+    Both residuals are divided by max(1, phi_m) and reported as maxima
+    over the interior nodes. phi_m, and psi_m where phi_m is also small,
+    are differenced in linear space (the stencils are then exact on
+    low-degree polynomial modes); larger ones through the log form of
+    ``separated_laplacian``, which stays representable.
     """
     x = mode.grid.nodes
     if x.size < 5:
         raise DomainError("residual verification needs at least five nodes")
-    m = mode.m
     v = np.asarray(profile.dlog_phi(x), dtype=float)
-    with np.errstate(over="ignore"):
-        phi = np.asarray(profile.phi(x), dtype=float)
-    lam = mode.lam
-    phi_m = np.exp(np.minimum(lam, 700.0))
-    weight = np.minimum(phi_m, 1.0)  # phi_m / max(1, phi_m)
-
-    if isinstance(mode, LogMode):
-        equation = "harmonic"
-        if np.max(lam) <= _LINEAR_LAM_CAP:
-            f = np.exp(lam)
-            res = np.abs(separated_laplacian(m, x, f, v, phi=phi)) / np.maximum(1.0, f)
-        else:
-            log_phi = np.asarray(profile.log_phi(x), dtype=float)
-            res = np.abs(separated_laplacian(m, x, lam, v, log_phi=log_phi)) * weight
-    elif isinstance(mode, BiharmonicMode):
-        equation = "biharmonic"
-        if np.max(mode.log_psi) <= _LINEAR_LAM_CAP and np.max(lam) <= _LINEAR_LAM_CAP:
-            psi = np.exp(mode.log_psi)
-            f = np.exp(lam)
-            res = np.abs(separated_laplacian(m, x, psi, v, phi=phi) - f) / np.maximum(1.0, f)
-        else:
-            log_phi = np.asarray(profile.log_phi(x), dtype=float)
-            ratio = separated_laplacian(m, x, mode.log_psi, v, log_phi=log_phi)
-            # (L psi - phi_m)/max(1, phi_m) = (z * L psi / psi - 1) * weight
-            res = np.abs(mode.z * ratio - 1.0) * weight
-    else:
-        raise DomainError(f"cannot verify residuals of {type(mode).__name__}")
-
-    sl = slice(1, x.size - 1)
-    interior_res = res[sl]
-    return ResidualReport(
-        m=m,
-        equation=equation,
-        max_scaled=float(np.max(interior_res)),
-        rms_scaled=float(np.sqrt(np.mean(interior_res**2))),
-        radii=x[sl],
-        residuals=interior_res,
-    )
+    phi_m = np.exp(np.minimum(mode.lam, 700.0))
+    log_f = np.stack([mode.lam, mode.log_psi])   # log phi_m, log psi_m
+    linear = np.max(log_f, axis=1) <= _LINEAR_LAM_CAP
+    linear &= linear[0]   # psi_m's linear residual subtracts phi_m
+    res = np.empty_like(log_f)
+    if np.any(linear):
+        with np.errstate(over="ignore"):
+            phi = np.asarray(profile.phi(x), dtype=float)
+        lap = separated_laplacian(mode.m, x, np.exp(log_f[linear]), v, phi=phi)
+        target = np.stack([np.zeros_like(phi_m), phi_m])[linear]
+        res[linear] = np.abs(lap - target) / np.maximum(1.0, phi_m)
+    if not np.all(linear):
+        log_phi = np.asarray(profile.log_phi(x), dtype=float)
+        ratio = separated_laplacian(mode.m, x, log_f[~linear], v, log_phi=log_phi)
+        # (L f - target)/max(1, phi_m) = ((f/phi_m) L f/f - target/phi_m) min(phi_m, 1),
+        # with f/phi_m = 1, z and target/phi_m = 0, 1 for phi_m, psi_m
+        f_over_phi = np.stack([np.ones_like(phi_m), mode.z])[~linear]
+        res[~linear] = (np.abs(f_over_phi * ratio - np.array([[0.0], [1.0]])[~linear])
+                        * np.minimum(phi_m, 1.0))
+    worst = np.max(res[:, 1:-1], axis=1)
+    return ResidualReport(harmonic=float(worst[0]), biharmonic=float(worst[1]))
 
 
 # ----------------------------------------------------------------------

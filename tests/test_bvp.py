@@ -11,6 +11,7 @@ import warped_disk as wd
 from warped_disk import bvp
 from warped_disk.geometry import RadialGrid
 from warped_disk.modes import mode_pass
+from warped_disk.operators import separated_laplacian
 
 
 def spectrum_from_arrays(m_max, alpha, beta, real_valued=False):
@@ -227,13 +228,62 @@ def test_solve_and_boundary_check_equal_the_per_mode_formulas(hyperbolic):
     assert (report.boundary_u_error, report.boundary_lap_error) == (bu, bl)
 
 
+def _per_mode_interior_residuals(profile, coeffs, grid):
+    """interior_max and interior_rms as one stencil call per mode computes them."""
+    x = grid.nodes
+    v = np.asarray(profile.dlog_phi(x), dtype=float)
+    phi = np.asarray(profile.phi(x), dtype=float)
+    lam, z = coeffs._modes.lam_z(x)
+    m_max = coeffs.spectrum.m_max
+    worst = 0.0
+    sq_sum = 0.0
+    for m in range(-m_max, m_max + 1):
+        cm, dm = coeffs.pair(m)
+        am = abs(m)
+        phim = np.exp(np.minimum(lam[am], 700.0))
+        fm = (cm + dm * z[am]) * phim
+        res = separated_laplacian(m, x, fm.real, v, phi=phi) - dm.real * phim
+        if cm.imag or dm.imag:
+            res = res + 1j * (separated_laplacian(m, x, fm.imag, v, phi=phi) - dm.imag * phim)
+        scaled = np.abs(res[1:-1]) / max(1.0, float(np.max(np.abs(fm))))
+        worst = max(worst, float(np.max(scaled)))
+        sq_sum += float(np.sum(scaled**2))
+    return worst, math.sqrt(sq_sum / ((2 * m_max + 1) * (x.size - 2)))
+
+
+@pytest.mark.parametrize("surface", ["euclidean", "hyperbolic", "power1"])
+@pytest.mark.parametrize("kind", ["real_trace", "complex", "zero_rows"])
+def test_interior_check_equals_the_per_mode_loop(request, surface, kind):
+    # one stencil pass over all modes rounds exactly as one pass per mode
+    metric = request.getfixturevalue(surface).metric
+    rng = np.random.default_rng(21)
+    m_max, radius = 8, 3.0
+    if kind == "real_trace":
+        trace = bvp.BoundaryTrace(radius, rng.normal(size=64), rng.normal(size=64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", wd.AliasingWarning)
+            spec = wd.analyze_trace(trace, m_max)
+    else:
+        alpha = rng.normal(size=17) + 1j * rng.normal(size=17)
+        beta = rng.normal(size=17) + 1j * rng.normal(size=17)
+        if kind == "zero_rows":   # real, imaginary and vanishing rows side by side
+            alpha[::3] = alpha[::3].real
+            beta[::3] = beta[::3].real
+            alpha[1::4] = beta[1::4] = 0.0
+        spec = spectrum_from_arrays(m_max, alpha, beta)
+    coeffs = wd.solve_disk_biharmonic(metric, radius, spec)
+    grid = RadialGrid.geometric(radius * 1e-3, radius, 257)
+    report = wd.verify_disk_solution(metric, coeffs, grid)
+    expected = _per_mode_interior_residuals(metric, coeffs, grid)
+    assert (report.interior_max, report.interior_rms) == expected
+
+
 def test_solve_flags_underflow():
     # a warp function growing so slowly that Lambda_1(R) > 700
     scale = 1e-3
     prof = wd.MetricProfile(
         phi=lambda r: scale * np.asarray(r, dtype=float),
         phi_prime=lambda r: scale * np.ones_like(np.asarray(r, dtype=float)),
-        phi_second=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         log_phi=lambda r: np.log(np.asarray(r, dtype=float)) + math.log(scale),
         dlog_phi=lambda r: 1.0 / np.asarray(r, dtype=float),
         r_max=4.0,
@@ -245,7 +295,6 @@ def test_solve_flags_underflow():
     coeffs = wd.solve_disk_biharmonic(prof, 2.0, spec)
     assert coeffs.underflow[2]
     assert coeffs.pair(1)[1] == 0.0
-    assert coeffs.log_d_mag[2] < -690.0  # magnitude preserved in log form
 
 
 def test_harmonic_degeneration(euclidean):

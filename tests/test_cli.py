@@ -94,6 +94,8 @@ def _power_profile_file(tmp_path):
     pytest.param(["--eta", "1"], "eta", id="eta_flag"),
     pytest.param(["--r0", "2"], "r0", id="r0_flag"),
     pytest.param("[profile]\neps = 2\n", "eps", id="eps_config_key"),
+    pytest.param(["--rmax", "50"], "rmax", id="rmax_flag"),
+    pytest.param("[profile]\nr_max = 50\n", "rmax", id="rmax_config_key"),
 ])
 def test_profile_parameters_beside_a_profile_file_are_refused(tmp_path, capsys, extra, key):
     if isinstance(extra, str):
@@ -105,6 +107,37 @@ def test_profile_parameters_beside_a_profile_file_are_refused(tmp_path, capsys, 
     assert cli.main(argv) == cli.EXIT_USAGE
     assert f"--{key}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["modes", "classify"])
+def test_horizon_beyond_a_profile_file_is_refused(tmp_path, capsys, command):
+    # the file's r_max is 10: the run must not end its grid there silently
+    out = tmp_path / "out"
+    argv = [command, "--profile", str(_power_profile_file(tmp_path)), "--horizon", "20",
+            "--mmax", "1", "--grid", "geometric,1e-3,32", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "outside the profile domain" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unset_rmax_checks_the_horizon_against_the_builtin_radius():
+    assert cli.RunConfig().r_max is None
+    cli.RunConfig(horizon=1200.0).validate()
+    with pytest.raises(DomainError, match="horizon"):
+        cli.RunConfig(horizon=1300.0).validate()
+    cli.RunConfig(horizon=1300.0, r_max=1500.0).validate()
+
+
+def test_profile_file_radius_bounds_the_horizon(tmp_path):
+    # the file's surface (euclidean: valid to 1e6), not the built-in default
+    # of 1200, decides how far the horizon may reach
+    path = tmp_path / "flat.profile"
+    path.write_text("[profile]\nname = euclidean\n")
+    out = tmp_path / "out"
+    argv = ["modes", "--profile", str(path), "--horizon", "1500", "--mmax", "0",
+            "--grid", "geometric,1e-3,16", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert (out / "mode_0.csv").read_text().splitlines()[-1].startswith("1500")
 
 
 def test_tolerances_beside_a_profile_file_are_accepted(tmp_path):

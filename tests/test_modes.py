@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import warped_disk as wd
 from warped_disk import modes
 from warped_disk.geometry import RadialGrid
 from warped_disk.modes import export_mode_csv, mode_pass
+from warped_disk.operators import separated_laplacian
 
 TIGHT = dict(rtol=1e-10, atol=1e-12)
 
@@ -19,28 +21,28 @@ TIGHT = dict(rtol=1e-10, atol=1e-12)
 
 def test_flat_mode_is_power(euclidean):
     grid = RadialGrid.geometric(0.1, 10.0, 201)
-    mode = wd.biharmonic_mode(euclidean.metric, 3, grid, **TIGHT).harmonic()
+    mode = wd.biharmonic_mode(euclidean.metric, 3, grid, **TIGHT)
     assert_allclose(mode.lam, 3.0 * np.log(grid.nodes), atol=1e-8)
 
 
 def test_zero_mode_is_trivial(euclidean):
     grid = RadialGrid.geometric(0.1, 10.0, 31)
-    mode = wd.biharmonic_mode(euclidean.metric, 0, grid).harmonic()
+    mode = wd.biharmonic_mode(euclidean.metric, 0, grid)
     assert np.all(mode.lam == 0.0)
-    assert np.all(mode.quadrature_error == 0.0)
+    assert np.all(mode.lam_error == 0.0)
 
 
 def test_mode_symmetry_in_m(hyperbolic):
     grid = RadialGrid.geometric(0.5, 8.0, 61)
-    plus = wd.biharmonic_mode(hyperbolic.metric, 2, grid).harmonic()
-    minus = wd.biharmonic_mode(hyperbolic.metric, -2, grid).harmonic()
+    plus = wd.biharmonic_mode(hyperbolic.metric, 2, grid)
+    minus = wd.biharmonic_mode(hyperbolic.metric, -2, grid)
     assert_allclose(plus.lam, minus.lam, rtol=0.0, atol=0.0)
 
 
 def test_hyperbolic_mode_closed_form(hyperbolic):
     # integral of ds/sinh s from 1 to r is log tanh(r/2) - log tanh(1/2)
     grid = RadialGrid.geometric(0.25, 30.0, 121)
-    mode = wd.biharmonic_mode(hyperbolic.metric, 1, grid, **TIGHT).harmonic()
+    mode = wd.biharmonic_mode(hyperbolic.metric, 1, grid, **TIGHT)
     exact = np.log(np.tanh(grid.nodes / 2.0)) - math.log(math.tanh(0.5))
     assert_allclose(mode.lam, exact, atol=1e-8)
 
@@ -48,34 +50,34 @@ def test_hyperbolic_mode_closed_form(hyperbolic):
 def test_mode_normalized_at_one(euclidean, hyperbolic):
     grid = RadialGrid(np.array([0.5, 0.75, 1.0, 2.0, 3.0]))
     for surface in (euclidean, hyperbolic):
-        mode = wd.biharmonic_mode(surface.metric, 2, grid).harmonic()
+        mode = wd.biharmonic_mode(surface.metric, 2, grid)
         assert abs(mode.lam[2]) < 1e-10
 
 
 def test_mode_monotone(log_threshold):
     grid = RadialGrid.geometric(0.5, 100.0, 101)
-    mode = wd.biharmonic_mode(log_threshold.metric, 3, grid).harmonic()
+    mode = wd.biharmonic_mode(log_threshold.metric, 3, grid)
     assert np.all(np.diff(mode.lam) >= -1e-12)
 
 
 def test_error_bounds_are_conservative(euclidean):
     grid = RadialGrid.geometric(0.1, 10.0, 101)
-    mode = wd.biharmonic_mode(euclidean.metric, 5, grid, **TIGHT).harmonic()
+    mode = wd.biharmonic_mode(euclidean.metric, 5, grid, **TIGHT)
     actual = np.abs(mode.lam - 5.0 * np.log(grid.nodes))
-    assert np.all(actual <= mode.quadrature_error + 1e-11)
+    assert np.all(actual <= mode.lam_error + 1e-11)
 
 
 def test_mode_grid_beyond_profile_raises(euclidean):
     prof = wd.profile_from_curvature(lambda r: 0.0, r_max=2.0)
     grid = RadialGrid.geometric(0.5, 5.0, 21)
     with pytest.raises(wd.DomainError):
-        wd.biharmonic_mode(prof, 1, grid).harmonic()
+        wd.biharmonic_mode(prof, 1, grid)
 
 
 def test_mode_rejects_nonpositive_grid_start(euclidean):
     grid = RadialGrid.uniform(0.0, 2.0, 21)
     with pytest.raises(wd.DomainError):
-        wd.biharmonic_mode(euclidean.metric, 1, grid).harmonic()
+        wd.biharmonic_mode(euclidean.metric, 1, grid)
 
 
 # ----------------------------------------------------------------------
@@ -98,7 +100,7 @@ def test_flat_reduction_factor_m1(euclidean):
 def test_flat_biharmonic_mode_m2(euclidean):
     grid = RadialGrid.geometric(0.1, 10.0, 101)
     mode = wd.biharmonic_mode(euclidean.metric, 2, grid, **TIGHT)
-    assert_allclose(mode.psi_values(), grid.nodes**4 / 12.0, rtol=1e-6)
+    assert_allclose(np.exp(mode.log_psi), grid.nodes**4 / 12.0, rtol=1e-6)
     assert_allclose(mode.log_psi, mode.lam + np.log(mode.z), rtol=0.0, atol=0.0)
 
 
@@ -122,6 +124,15 @@ def test_biharmonic_mode_invariants(power1):
     mode = wd.biharmonic_mode(power1.metric, 1, grid)
     assert np.all(mode.z > 0.0)
     assert np.all(np.diff(mode.z) >= -1e-12 * mode.z[:-1])
+
+
+def test_biharmonic_mode_refuses_a_broken_lambda(euclidean):
+    grid = RadialGrid.geometric(0.5, 2.0, 9)
+    mode = wd.biharmonic_mode(euclidean.metric, 1, grid)
+    with pytest.raises(wd.DomainError, match="nondecreasing"):
+        dataclasses.replace(mode, lam=mode.lam[::-1])
+    with pytest.raises(wd.DomainError, match="Lambda_0"):
+        dataclasses.replace(mode, m=0)
 
 
 def test_power_reduction_factor_converges(power1):
@@ -257,26 +268,24 @@ def test_mean_integral_ratio_power_decay(power1):
 
 def test_residuals_flat_mode_exact(euclidean):
     grid = RadialGrid.uniform(1.0, 2.0, 101)
-    mode = wd.biharmonic_mode(euclidean.metric, 1, grid, **TIGHT).harmonic()
+    mode = wd.biharmonic_mode(euclidean.metric, 1, grid, **TIGHT)
     rep = wd.verify_mode_residuals(euclidean.metric, mode)
-    assert rep.equation == "harmonic"
-    assert rep.max_scaled < 1e-8
+    assert rep.harmonic < 1e-8
 
 
 def test_residuals_flat_psi0_exact(euclidean):
     grid = RadialGrid.uniform(1.0, 2.0, 101)
     mode = wd.biharmonic_mode(euclidean.metric, 0, grid, **TIGHT)
     rep = wd.verify_mode_residuals(euclidean.metric, mode)
-    assert rep.equation == "biharmonic"
-    assert rep.max_scaled < 1e-8
+    assert rep.biharmonic < 1e-8
 
 
 def test_residuals_shrink_second_order(hyperbolic):
     maxima = []
     for n in (51, 101, 201):
         grid = RadialGrid.uniform(1.0, 2.0, n)
-        mode = wd.biharmonic_mode(hyperbolic.metric, 1, grid, **TIGHT).harmonic()
-        maxima.append(wd.verify_mode_residuals(hyperbolic.metric, mode).max_scaled)
+        mode = wd.biharmonic_mode(hyperbolic.metric, 1, grid, **TIGHT)
+        maxima.append(wd.verify_mode_residuals(hyperbolic.metric, mode).harmonic)
     assert 3.5 <= maxima[0] / maxima[1] <= 4.5
     assert 3.5 <= maxima[1] / maxima[2] <= 4.5
 
@@ -285,12 +294,57 @@ def test_residuals_log_path_for_huge_modes(euclidean):
     # flat modes with large m overflow doubles (Lambda = m log r > 709)
     # and the verification must go through the log-space identity
     grid = RadialGrid.uniform(300.0, 600.0, 201)
-    mode = wd.biharmonic_mode(euclidean.metric, 130, grid).harmonic()
+    mode = wd.biharmonic_mode(euclidean.metric, 130, grid)
     assert np.max(mode.lam) > 709.0
-    assert np.any(np.isinf(mode.phi_values()))
+    with np.errstate(over="ignore"):
+        assert np.any(np.isinf(np.exp(mode.lam)))
     rep = wd.verify_mode_residuals(euclidean.metric, mode)
-    assert np.isfinite(rep.max_scaled)
-    assert rep.max_scaled < 1e-4
+    assert np.isfinite(rep.harmonic)
+    assert rep.harmonic < 1e-4
+
+
+def _separate_residuals(profile, mode):
+    """The eq4 and eq6 maxima as two separate checks of the pair compute them."""
+    x, m, lam = mode.grid.nodes, mode.m, mode.lam
+    v = np.asarray(profile.dlog_phi(x), dtype=float)
+    with np.errstate(over="ignore"):
+        phi = np.asarray(profile.phi(x), dtype=float)
+    log_phi = np.asarray(profile.log_phi(x), dtype=float)
+    weight = np.minimum(np.exp(np.minimum(lam, 700.0)), 1.0)
+    if np.max(lam) <= 300.0:
+        f = np.exp(lam)
+        eq4 = np.abs(separated_laplacian(m, x, f, v, phi=phi)) / np.maximum(1.0, f)
+    else:
+        eq4 = np.abs(separated_laplacian(m, x, lam, v, log_phi=log_phi)) * weight
+    if np.max(mode.log_psi) <= 300.0 and np.max(lam) <= 300.0:
+        f = np.exp(lam)
+        psi = np.exp(mode.log_psi)
+        eq6 = np.abs(separated_laplacian(m, x, psi, v, phi=phi) - f) / np.maximum(1.0, f)
+    else:
+        ratio = separated_laplacian(m, x, mode.log_psi, v, log_phi=log_phi)
+        eq6 = np.abs(mode.z * ratio - 1.0) * weight
+    return float(np.max(eq4[1:-1])), float(np.max(eq6[1:-1]))
+
+
+@pytest.mark.parametrize("surface, ms, grid, forms", [
+    ("euclidean", range(4), RadialGrid.geometric(1e-3, 1000.0, 256), "linear"),
+    ("hyperbolic", range(4), RadialGrid.geometric(0.05, 30.0, 129), "linear"),
+    ("power1", range(3), RadialGrid.geometric(1e-3, 100.0, 256), "linear"),
+    ("euclidean", (43,), RadialGrid.uniform(100.0, 1000.0, 201), "mixed"),
+    ("euclidean", (130,), RadialGrid.uniform(300.0, 600.0, 201), "log"),
+    ("euclidean", (280,), RadialGrid.uniform(2.8, 2.95, 41), "small_z"),
+])
+def test_pair_check_equals_separate_checks(request, surface, ms, grid, forms):
+    # one call per pair rounds exactly as the separate eq4 and eq6 checks,
+    # in linear form, in log form, with phi_m linear beside psi_m in log form,
+    # and with psi_m < phi_m small enough for linear form while phi_m is not
+    metric = request.getfixturevalue(surface).metric
+    for mode in wd.biharmonic_mode(metric, ms, grid):
+        in_log = (np.max(mode.lam) > 300.0, np.max(mode.log_psi) > 300.0)
+        assert in_log == {"linear": (False, False), "mixed": (False, True),
+                          "log": (True, True), "small_z": (True, False)}[forms]
+        rep = wd.verify_mode_residuals(metric, mode)
+        assert (rep.harmonic, rep.biharmonic) == _separate_residuals(metric, mode)
 
 
 # ----------------------------------------------------------------------

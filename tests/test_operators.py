@@ -33,10 +33,29 @@ def test_flat_m2_harmonic(euclidean):
 
 def test_hyperbolic_mode_is_annihilated(hyperbolic):
     grid = RadialGrid.uniform(0.5, 3.0, 201)
-    mode = wd.biharmonic_mode(hyperbolic.metric, 1, grid, rtol=1e-11, atol=1e-13).harmonic()
-    out = apply_linear(hyperbolic.metric, 1, grid, mode.phi_values())
+    mode = wd.biharmonic_mode(hyperbolic.metric, 1, grid, rtol=1e-11, atol=1e-13)
+    out = apply_linear(hyperbolic.metric, 1, grid, np.exp(mode.lam))
     h = grid.nodes[1] - grid.nodes[0]
     assert np.max(np.abs(out[1:-1])) < 5.0 * h * h
+
+
+@pytest.mark.parametrize("form", ["linear", "log"])
+def test_rows_with_their_own_m_equal_one_row_calls(form):
+    # samples run along the last axis: row i of a 2-d call with per-row m
+    # is the 1-d call for that row, exactly at interior nodes
+    rng = np.random.default_rng(3)
+    x = np.sort(rng.uniform(0.5, 3.0, 40))
+    f = rng.normal(size=(7, 40))
+    m = np.arange(-3, 4)
+    kw = {"phi": x} if form == "linear" else {"log_phi": np.log(x)}
+    rows = separated_laplacian(m, x, f, 1.0 / x, **kw)
+    assert rows.shape == f.shape
+    for i in range(7):
+        one = separated_laplacian(int(m[i]), x, f[i], 1.0 / x, **kw)
+        assert np.array_equal(rows[i, 1:-1], one[1:-1])
+        assert_allclose(rows[i], one, rtol=1e-12, atol=1e-12)
+    same_m = separated_laplacian(2, x, f, 1.0 / x, **kw)
+    assert np.array_equal(same_m[3, 1:-1], separated_laplacian(2, x, f[3], 1.0 / x, **kw)[1:-1])
 
 
 def test_laplacian_preconditions(euclidean):
