@@ -58,14 +58,19 @@ class RunConfig:
     out_dir: str = "."
     inject_fault: str = ""
 
-    def validate(self) -> None:
+    def validate(self, reads_horizon: bool = True) -> None:
+        """Refuse inconsistent settings.
+
+        ``reads_horizon`` is false for bvp and verify: neither reads the
+        horizon on the configured surface, so it is not held to r_max.
+        """
         if self.rtol <= 0.0 or self.atol <= 0.0 or self.boundary_tol <= 0.0:
             raise DomainError("tolerances must be positive")
         if self.m_max < 0:
             raise DomainError("m-range must be symmetric around 0: m_max >= 0")
         # a profile file's own r_max is checked on the surface it builds
         r_max = _BUILTIN_R_MAX if self.r_max is None else self.r_max
-        if self.horizon > r_max and not _is_profile_file(self.profile):
+        if reads_horizon and self.horizon > r_max and not _is_profile_file(self.profile):
             raise DomainError("horizon must not exceed r_max")
         if self.grid_kind not in ("uniform", "geometric"):
             raise DomainError(f"unknown grid kind {self.grid_kind!r}")
@@ -141,7 +146,7 @@ def build_config(args) -> RunConfig:
         overrides["rtol"] = float(parts[0])
         overrides["atol"] = float(parts[1])
     cfg = replace(cfg, **overrides)
-    cfg.validate()
+    cfg.validate(reads_horizon=args.command in ("classify", "modes"))
     return cfg
 
 

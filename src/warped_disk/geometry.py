@@ -196,6 +196,14 @@ class MetricProfile:
     (= phi'/phi) stay finite where phi itself overflows. All evaluators
     accept scalars or arrays and are pure, so profiles are safe to share
     across threads. ``name`` labels the surface in reports.
+
+    ``k`` is the Gaussian curvature K(r) = -phi''/phi of one float r, as
+    a float (no numpy, so a right-hand side can call it every step). The
+    mode passes integrate phi from it together with the modes and read
+    none of the four evaluators; those remain for the one-off array
+    reads (residual checks, evidence probes, origin and round-trip
+    checks). A profile without ``k`` serves only those reads; mode
+    passes refuse it.
     """
 
     phi: Callable
@@ -204,6 +212,7 @@ class MetricProfile:
     dlog_phi: Callable
     r_max: float
     name: str = ""
+    k: Callable | None = None
 
     def require_radius(self, r: float) -> float:
         r = float(r)
@@ -347,6 +356,7 @@ def profile_from_curvature(
         dlog_phi=dlog_phi,
         r_max=r_hi,
         name=name or getattr(curvature, "name", "") or "curvature-integrated",
+        k=lambda r: float(k_fn(r)),
     )
 
 
@@ -362,6 +372,7 @@ def _euclidean_profile() -> MetricProfile:
         dlog_phi=lambda r: 1.0 / np.asarray(r, dtype=float),
         r_max=ANALYTIC_R_MAX,
         name="euclidean",
+        k=lambda r: 0.0,
     )
 
 
@@ -373,9 +384,6 @@ def _log_sinh(r):
 
 def _coth(r):
     r = np.asarray(r, dtype=float)
-    if r.ndim == 0:
-        rf = float(r)
-        return 1.0 / math.tanh(rf) if rf < 20.0 else 1.0
     out = np.ones_like(r)
     mod = r < 20.0
     out[mod] = 1.0 / np.tanh(r[mod])
@@ -402,28 +410,27 @@ def _hyperbolic_profile() -> MetricProfile:
         dlog_phi=_coth,
         r_max=ANALYTIC_R_MAX,
         name="hyperbolic",
+        k=lambda r: -1.0,
     )
 
 
-def _smoothstep5(x):
-    """C^2 quintic ramp: 0 at x<=0, 1 at x>=1, zero 1st/2nd derivatives at both ends."""
-    x = np.clip(x, 0.0, 1.0)
-    return x**3 * (10.0 - 15.0 * x + 6.0 * x**2)
-
-
-def _blended_curvature(tail_fn: Callable, r0: float) -> Callable:
-    """Constant cap on [0, r0], quintic blend on [r0, r0+1], tail beyond.
+def _blended_curvature(tail: Callable, r0: float) -> Callable:
+    """Scalar K: constant cap on [0, r0], C^2 quintic blend on [r0, r0+1], tail beyond.
 
     The cap equals the tail value at r0+1, so the curvature is constant
     on the inner region and exactly the declared formula outside.
+    ``tail`` takes and returns a float.
     """
-    cap = float(tail_fn(r0 + 1.0))
+    cap = tail(r0 + 1.0)
 
     def k(r):
-        r = np.asarray(r, dtype=float)
-        s = _smoothstep5(r - r0)
-        tail = tail_fn(np.maximum(r, r0 + 1e-12))
-        return (1.0 - s) * cap + s * tail
+        if r <= r0:
+            return cap
+        if r >= r0 + 1.0:
+            return tail(r)
+        x = r - r0
+        s = x**3 * (10.0 - 15.0 * x + 6.0 * x * x)
+        return (1.0 - s) * cap + s * tail(r)
 
     return k
 
@@ -474,16 +481,12 @@ def builtin_profile(
         e = float(eps)
 
         def tail(r):
-            r = np.asarray(r, dtype=float)
-            return -(1.0 + e) / (r * r * np.log(r))
+            return -(1.0 + e) / (r * r * math.log(r))
 
-        curv = CurvatureProfile(
-            k=_blended_curvature(tail, r0),
-            # the tail also sits above every -eta r^2 bound, so the
-            # two-sided declaration is the informative one
-            tail=TailDescriptor("between", r0=r0 + 1.0, eps=e, eta=1.0),
-            name=f"log-threshold(eps={e:g}, r0={r0:g})",
-        )
+        # the tail also sits above every -eta r^2 bound, so the
+        # two-sided declaration is the informative one
+        declared = TailDescriptor("between", r0=r0 + 1.0, eps=e, eta=1.0)
+        label = f"log-threshold(eps={e:g}, r0={r0:g})"
     elif key == "power-curvature":
         if eps is None or eps <= 0.0:
             raise DomainError("power-curvature needs eps > 0")
@@ -493,14 +496,10 @@ def builtin_profile(
         e = float(eps)
 
         def tail(r):
-            r = np.asarray(r, dtype=float)
             return -(r ** (2.0 + e))
 
-        curv = CurvatureProfile(
-            k=_blended_curvature(tail, r0),
-            tail=TailDescriptor("le_power", r0=max(r0, 1.0 + 1e-6), eps=e),
-            name=f"power-curvature(eps={e:g}, r0={r0:g})",
-        )
+        declared = TailDescriptor("le_power", r0=max(r0, 1.0 + 1e-6), eps=e)
+        label = f"power-curvature(eps={e:g}, r0={r0:g})"
     elif key == "quadratic-curvature":
         if eta is None or eta <= 0.0:
             raise DomainError("quadratic-curvature needs eta > 0")
@@ -510,7 +509,6 @@ def builtin_profile(
         et = float(eta)
 
         def tail(r):
-            r = np.asarray(r, dtype=float)
             return -et * r * r
 
         # -eta r^2 falls below the log-threshold bound only once
@@ -518,16 +516,17 @@ def builtin_profile(
         r_decl = max(r0 + 1.0, 2.0)
         while et * r_decl**4 * math.log(r_decl) < 2.02 and r_decl < 1e3:
             r_decl *= 1.05
-        curv = CurvatureProfile(
-            k=_blended_curvature(tail, r0),
-            tail=TailDescriptor("between", r0=r_decl, eps=1.0, eta=et),
-            name=f"quadratic-curvature(eta={et:g}, r0={r0:g})",
-        )
+        declared = TailDescriptor("between", r0=r_decl, eps=1.0, eta=et)
+        label = f"quadratic-curvature(eta={et:g}, r0={r0:g})"
     else:
         raise DomainError(f"unknown built-in profile {name!r}")
 
-    metric = profile_from_curvature(curv, r_max=r_max, step_control=step_control, name=curv.name)
-    return Surface(curv.name, metric, curv)
+    # one scalar K drives the profile IVP (and, through MetricProfile.k,
+    # the mode passes); the curvature's array form maps it over its input
+    k = _blended_curvature(tail, r0)
+    curv = CurvatureProfile(k=np.vectorize(k, otypes=[float]), tail=declared, name=label)
+    metric = profile_from_curvature(k, r_max=r_max, step_control=step_control, name=label)
+    return Surface(label, metric, curv)
 
 
 # ----------------------------------------------------------------------

@@ -15,11 +15,14 @@ curvature, phi and the inner integral overflow doubles long before the
 quantities of interest do, so everything is accumulated in scaled form:
 the integration state is (Lambda, log w, z), advanced by an adaptive
 stiff-capable integrator whose dense output serves as the quadrature.
-Since Lambda_m is |m| times a profile integral that does not depend on
-m, one solve carries (log w, z) for every requested |m| beside a single
-Lambda, and all frequencies share the profile lookups of each step.
-Every entry point solves its set of m this way, a single m included;
-``biharmonic_mode`` solves it twice, the gap bounding the error.
+The same solve integrates the profile itself, as log(phi/r) and
+phi'/phi - 1/r, from the curvature K(r) of ``MetricProfile.k``: each
+step evaluates K once and reads no profile interpolant, and each pass
+carries its own profile error. Since Lambda_m is |m| times a profile
+integral that does not depend on m, one solve carries (log w, z) for
+every requested |m| beside a single Lambda. Every entry point solves
+its set of m this way, a single m included; ``biharmonic_mode`` solves
+it twice, the gap bounding the error.
 The inner ratio w is exactly the quantity whose growth or decay drives
 the Liouville-type dichotomies, so it is exposed alongside the modes.
 """
@@ -100,8 +103,14 @@ class BiharmonicMode:
 # the quadrature pass
 # ----------------------------------------------------------------------
 
+# rows of the pass state: the profile's two flat deviations, Lambda_ref,
+# then log w_m for each |m| and z_m for each |m|
+_LAM = 2
+_W = 3
+
+
 class _AnchoredLSODA(LSODA):
-    """LSODA recording y[0] at r = 1 as a dense solution reads it, even when none is kept."""
+    """LSODA recording Lambda_ref at r = 1 as a dense solution reads it, even when none is kept."""
 
     def __init__(self, *args, at_one: list, **kwargs):
         super().__init__(*args, **kwargs)
@@ -110,24 +119,32 @@ class _AnchoredLSODA(LSODA):
     def step(self):
         message = super().step()
         if self.status != "failed" and self.t_old < 1.0 <= self.t:
-            self._at_one.append(float(self.dense_output()(1.0)[0]))
+            self._at_one.append(float(self.dense_output()(1.0)[_LAM]))
         return message
 
 
 class _ModePass:
-    """Solution of the coupled (Lambda, log w_m, z_m) system for a set of |m|.
+    """Solution of the profile and the (Lambda, log w_m, z_m) system for a set of |m|.
 
-    One adaptive solve carries every requested |m|: the state is
-    (Lambda_ref, log w_m for each m, z_m for each m), where Lambda_ref is
-    Lambda of the largest requested |m| and Lambda_m = (|m|/m_ref)
-    Lambda_ref, so each right-hand-side call makes one lookup of log phi
-    and one of phi'/phi, shared by all frequencies. With a single |m| the system is exactly
-    the per-frequency (Lambda_m, log w, z) system.
+    One adaptive solve, driven by the curvature K(r) alone, carries the
+    profile and every requested |m|. The state is
 
-    Lambda is integrated from t0 with Lambda(t0) = 0 and shifted so that
-    Lambda(1) = 0 afterwards; w and z are invariant under that shift.
-    The seed uses phi(t) ~ t on [0, t0]: the inner integrand behaves
-    like t^(1+2|m|), so w(t0) = t0/(2+2|m|) and z(t0) = t0^2/(4+4|m|).
+        (log(phi/s), phi'/phi - 1/s, Lambda_ref, log w_m for each m, z_m for each m),
+
+    where the first two obey log(phi/s)' = b and b' = -K - b (b + 2/s)
+    for b = phi'/phi - 1/s: deviations from the flat profile, so K = 0
+    keeps them exactly 0. Lambda_ref is Lambda of the largest requested
+    |m| and Lambda_m = (|m|/m_ref) Lambda_ref. Each right-hand-side call
+    evaluates K once and reads no profile interpolant, so the loose and
+    tight passes of ``biharmonic_mode`` each carry their own profile
+    error and their gap bounds it. With a single |m| the mode rows are
+    exactly the per-frequency (Lambda_m, log w, z) system.
+
+    The profile starts from the origin series phi(t) ~ t - K(0) t^3/6 at
+    t0. Lambda is integrated from t0 with Lambda(t0) = 0 and shifted so
+    that Lambda(1) = 0 afterwards; w and z are invariant under that
+    shift. The mode seed uses phi(t) ~ t on [0, t0]: the inner integrand
+    behaves like t^(1+2|m|), so w(t0) = t0/(2+2|m|) and z(t0) = t0^2/(4+4|m|).
 
     Given ``radii`` (increasing, in (t0, r_end]), only the states there
     are kept instead of a dense solution, which saves memory.
@@ -141,6 +158,10 @@ class _ModePass:
         ms = sorted({abs(int(k)) for k in ([m] if np.isscalar(m) else m)})
         if not ms:
             raise DomainError("a mode pass needs at least one angular frequency")
+        k_of = profile.k
+        if k_of is None:
+            raise DomainError("a mode pass integrates the profile from its curvature; "
+                              "this profile has no scalar K(r) (MetricProfile.k)")
         r_end = float(r_end)
         if r_end > profile.r_max * (1.0 + 1e-12):
             raise DomainError("mode grid extends beyond the profile's radius of validity")
@@ -156,20 +177,22 @@ class _ModePass:
         n = len(ms)
         m_ref = ms[-1]
         self._lam_scale = np.array(ms) / max(m_ref, 1)   # Lambda_m / Lambda_ref per row
-        slots = [(k, 2.0 * am) for k, am in enumerate(ms, start=1)]
-        u_of = profile.log_phi
-        v_of = profile.dlog_phi
+        slots = [(k, 2.0 * am) for k, am in enumerate(ms, start=_W)]
         exp = math.exp
 
         # Python floats, written over the state list in place: for a
         # handful of states, numpy slicing and ufuncs would cost more
-        # than the arithmetic. The right-hand side does not read z.
+        # than the arithmetic. The right-hand side does not read
+        # Lambda_ref or z.
         def rhs(s, y):
-            u = float(u_of(s))
-            v = float(v_of(s))
-            e = exp(-u)
             out = y.tolist()
-            out[0] = m_ref * e
+            a, b = out[0], out[1]
+            inv_s = 1.0 / s
+            e = exp(-a) * inv_s      # 1/phi
+            v = b + inv_s            # phi'/phi
+            out[0] = b
+            out[1] = -k_of(s) - b * (b + 2.0 * inv_s)
+            out[_LAM] = m_ref * e
             for k, two_m in slots:
                 lw = out[k]
                 out[k] = exp(-lw) - (v + two_m * e)
@@ -177,13 +200,24 @@ class _ModePass:
             return out
 
         def jac(s, y):
-            out = np.zeros((1 + 2 * n, 1 + 2 * n))
-            for k, lw in enumerate(y[1:1 + n].tolist(), start=1):
+            out = np.zeros((_W + 2 * n, _W + 2 * n))
+            a, b = float(y[0]), float(y[1])
+            inv_s = 1.0 / s
+            e = exp(-a) * inv_s
+            out[0, 1] = 1.0
+            out[1, 1] = -2.0 * (b + inv_s)
+            out[_LAM, 0] = -m_ref * e
+            for k, two_m in slots:
+                lw = float(y[k])
+                out[k, 0] = two_m * e
+                out[k, 1] = -1.0
                 out[k, k] = -exp(-lw)
                 out[k + n, k] = exp(lw)
             return out
 
-        y0 = [0.0,
+        k0 = k_of(0.0)
+        c = 1.0 - k0 * t0 * t0 / 6.0     # phi(t0) / t0 from the origin series
+        y0 = [math.log(c), -k0 * t0 / (3.0 * c), 0.0,
               *[math.log(t0 / (2.0 + 2.0 * am)) for am in ms],
               *[t0 * t0 / (4.0 + 4.0 * am) for am in ms]]
         span_end = max(r_end, 1.0)  # Lambda is anchored at r = 1
@@ -225,19 +259,19 @@ class _ModePass:
 
     def _lams(self, states) -> np.ndarray:
         """Lambda_m for every |m| in ``ms`` (row k holds m = ms[k]); Lambda_0 is +0.0."""
-        lam = np.multiply.outer(self._lam_scale, states[0] - self.lam_at_one)
+        lam = np.multiply.outer(self._lam_scale, states[_LAM] - self.lam_at_one)
         lam[self._lam_scale == 0.0] = 0.0   # 0 times a negative Lambda_ref is -0.0
         return lam
 
     def inner_ratio(self, r, m=None):
         """w(r): the scaled inner integral the growth lemmas are about."""
-        return np.exp(self._states(r)[1 + self._index(m)])
+        return np.exp(self._states(r)[_W + self._index(m)])
 
     def all_values(self, r, m=None):
         """(Lambda_m, w_m, z_m) at the radii r."""
         k = self._index(m)
         out = self._states(r)
-        return self._lams(out)[k], np.exp(out[1 + k]), out[1 + len(self.ms) + k]
+        return self._lams(out)[k], np.exp(out[_W + k]), out[_W + len(self.ms) + k]
 
     def lam_z(self, r):
         """(Lambda_m, z_m) at the radii r for every |m| in ``ms``, from one read.
@@ -245,7 +279,7 @@ class _ModePass:
         Row k of either array holds m = ms[k].
         """
         out = self._states(r)
-        return self._lams(out), out[1 + len(self.ms):]
+        return self._lams(out), out[_W + len(self.ms):]
 
 
 # Dense-output interpolation error is not controlled by the step
@@ -284,7 +318,8 @@ def biharmonic_mode(
     and normalized so that phi_m(1) = 1. Per-node error bounds come from
     comparing the requested-tolerance pass against one two orders
     tighter: ``quadrature_error`` for log psi_m, ``lam_error`` for
-    Lambda_m alone.
+    Lambda_m alone. Each pass integrates the profile from K(r) itself,
+    so the bounds cover the profile's error as well.
     """
     if rtol <= 0.0 or atol <= 0.0:
         raise DomainError("quadrature tolerances must be positive")
@@ -327,9 +362,9 @@ def mode_pass(profile: MetricProfile, m, r_end: float,
     """Dense mode solution for callers that sample many radii at once.
 
     ``m`` is one angular frequency or a sequence of them; a sequence is
-    solved as one system whose frequencies share the profile lookups of
-    every right-hand-side call. The pass runs _TIGHTEN times tighter
-    than the requested tolerances.
+    solved as one system whose frequencies share the profile rows and the
+    K(r) evaluation of every right-hand-side call. The pass runs _TIGHTEN
+    times tighter than the requested tolerances.
     """
     return _ModePass(profile, m, r_end, rtol / _TIGHTEN, atol / _TIGHTEN)
 

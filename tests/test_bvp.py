@@ -279,20 +279,20 @@ def test_interior_check_equals_the_per_mode_loop(request, surface, kind):
 
 
 def test_solve_flags_underflow():
-    # a warp function growing so slowly that Lambda_1(R) > 700
-    scale = 1e-3
-    prof = wd.MetricProfile(
-        phi=lambda r: scale * np.asarray(r, dtype=float),
-        phi_prime=lambda r: scale * np.ones_like(np.asarray(r, dtype=float)),
-        log_phi=lambda r: np.log(np.asarray(r, dtype=float)) + math.log(scale),
-        dlog_phi=lambda r: 1.0 / np.asarray(r, dtype=float),
-        r_max=4.0,
-    )
+    # a cigar, phi = eps tanh(r/eps), whose warp function levels off at
+    # eps, so Lambda_1(R) ~ (R - 1)/eps = 600 > 500
+    eps = 0.01
+
+    def k(r):
+        q = math.exp(-r / eps)   # sech(r/eps) = 2q/(1 + q^2), without cosh overflow
+        return 2.0 / eps**2 * (2.0 * q / (1.0 + q * q)) ** 2
+
+    prof = wd.profile_from_curvature(k, r_max=8.0)
     alpha = np.zeros(3, dtype=complex)
     beta = np.zeros(3, dtype=complex)
     beta[2] = 1.0  # m = +1
     spec = spectrum_from_arrays(1, alpha, beta)
-    coeffs = wd.solve_disk_biharmonic(prof, 2.0, spec)
+    coeffs = wd.solve_disk_biharmonic(prof, 7.0, spec)
     assert coeffs.underflow[2]
     assert coeffs.pair(1)[1] == 0.0
 

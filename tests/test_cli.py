@@ -128,6 +128,20 @@ def test_unset_rmax_checks_the_horizon_against_the_builtin_radius():
     cli.RunConfig(horizon=1300.0, r_max=1500.0).validate()
 
 
+def test_bvp_does_not_hold_the_unread_horizon_to_rmax(tmp_path):
+    # the default horizon (1000) lies beyond --rmax 5, but bvp never reads it
+    with pytest.raises(DomainError, match="horizon"):
+        cli.RunConfig(r_max=5.0).validate()
+    cli.RunConfig(r_max=5.0).validate(reads_horizon=False)
+    theta = 2.0 * math.pi * np.arange(16) / 16
+    bvp.write_trace_csv(tmp_path / "trace.csv",
+                        bvp.BoundaryTrace(1.0, np.cos(theta), np.zeros_like(theta)))
+    out = tmp_path / "out"
+    argv = ["bvp", "--rmax", "5", "--radius", "1", str(tmp_path / "trace.csv"), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert (out / "coefficients.csv").exists()
+
+
 def test_profile_file_radius_bounds_the_horizon(tmp_path):
     # the file's surface (euclidean: valid to 1e6), not the built-in default
     # of 1200, decides how far the horizon may reach

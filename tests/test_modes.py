@@ -67,6 +67,28 @@ def test_error_bounds_are_conservative(euclidean):
     assert np.all(actual <= mode.lam_error + 1e-11)
 
 
+@pytest.mark.parametrize("eps", [0.5, 1.0, 2.0])
+def test_error_bounds_cover_the_profile_error(eps):
+    # both passes integrate the profile themselves, so their gap covers its
+    # error too; a reference from a far tighter profile and tolerance must
+    # lie within the reported bounds at every node
+    grid = RadialGrid.geometric(1e-3, 100.0, 512)
+    surface = wd.builtin_profile("power-curvature", eps=eps, r_max=120.0)
+    ref_surface = wd.builtin_profile("power-curvature", eps=eps, r_max=120.0,
+                                     step_control=(1e-13, 1e-15))
+    got = wd.biharmonic_mode(surface.metric, range(4), grid)
+    ref = wd.biharmonic_mode(ref_surface.metric, range(4), grid, rtol=1e-11, atol=1e-13)
+    for mode, exact in zip(got, ref):
+        assert np.all(np.abs(mode.lam - exact.lam) <= mode.lam_error), mode.m
+        assert np.all(np.abs(mode.log_psi - exact.log_psi) <= mode.quadrature_error), mode.m
+
+
+def test_mode_pass_refuses_a_profile_without_curvature(euclidean):
+    prof = dataclasses.replace(euclidean.metric, k=None)
+    with pytest.raises(wd.DomainError, match="curvature"):
+        mode_pass(prof, 1, 10.0)
+
+
 def test_mode_grid_beyond_profile_raises(euclidean):
     prof = wd.profile_from_curvature(lambda r: 0.0, r_max=2.0)
     grid = RadialGrid.geometric(0.5, 5.0, 21)

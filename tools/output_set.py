@@ -3,23 +3,29 @@
     PYTHONPATH=src python tools/output_set.py OUTDIR
 
 Runs ``classify``, ``modes``, ``bvp`` and ``verify`` on fixed inputs with
-whichever ``warped_disk`` is importable, each in its own subdirectory of
-OUTDIR. A subdirectory holds the files the command writes, its stdout
-(``stdout.txt``) and its exit code (``exit.txt``); stderr is not kept,
-since warnings name source paths. The traces the ``bvp`` runs read are
-written to ``OUTDIR/inputs``. Two trees written from two versions of
-the package are byte-identical exactly when ``diff -r`` reports nothing.
+whichever ``warped_disk`` is importable here, each in its own subdirectory
+of OUTDIR. The children run in those subdirectories, so the absolute
+directory of that ``warped_disk`` goes first on their ``PYTHONPATH``; a
+relative ``PYTHONPATH=src`` would not reach it from there. A subdirectory
+holds the files the command writes, its stdout (``stdout.txt``) and its
+exit code (``exit.txt``); stderr is not kept, since warnings name source
+paths. The traces the ``bvp`` runs read are written to ``OUTDIR/inputs``.
+Two trees written from two versions of the package are byte-identical
+exactly when ``diff -r`` reports nothing.
 The whole set takes about 25 s on two cores.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+
+import warped_disk
 
 POWER = ["--profile", "power-curvature", "--eps", "1"]
 EUCLIDEAN = ["--profile", "euclidean"]
@@ -67,11 +73,14 @@ def main(argv=None) -> int:
         return 64
     root = Path(argv[0])
     write_inputs(root / "inputs")
+    package_root = str(Path(warped_disk.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     for name, args in RUNS.items():
         run_dir = root / name
         run_dir.mkdir(parents=True, exist_ok=True)
         proc = subprocess.run([sys.executable, "-c", _MAIN, *args, "--out", "."],
-                              cwd=run_dir, capture_output=True, text=True)
+                              cwd=run_dir, env=env, capture_output=True, text=True)
         (run_dir / "stdout.txt").write_text(proc.stdout)
         (run_dir / "exit.txt").write_text(f"{proc.returncode}\n")
         print(f"{name}: exit {proc.returncode}")
