@@ -261,15 +261,19 @@ def numeric_evidence(
 
     Verdicts follow the doubling-ladder rule; the mean-integral-ratio
     slope is fitted over the last decade of radii. One mode pass carries
-    m = 0 and every tested angular frequency.
+    m = 0 and every tested angular frequency and keeps only the radii
+    read here.
     """
     if not m_set:
         raise DomainError("m_set must be nonempty")
     horizon = profile.require_radius(horizon)
     ladder = _ladder(horizon)
-    m_values = sorted(set(int(m) for m in m_set))
-    mp = mode_pass(profile, [0, *m_values], horizon, rtol=rtol, atol=atol)
     w_radii = np.geomspace(ladder[0], horizon, 64)
+    ratio_window = (horizon / 10.0, horizon)
+    radii = np.geomspace(ratio_window[0], ratio_window[1], 24)
+    m_values = sorted(set(int(m) for m in m_set))
+    mp = mode_pass(profile, [0, *m_values], horizon, rtol=rtol, atol=atol,
+                   radii=np.concatenate((ladder, w_radii, radii)))
 
     def one(m: int) -> ModeEvidence:
         lam, _, z = mp.all_values(ladder, m)
@@ -291,8 +295,6 @@ def numeric_evidence(
 
     evidence = tuple(one(m) for m in m_values)
 
-    ratio_window = (horizon / 10.0, horizon)
-    radii = np.geomspace(ratio_window[0], ratio_window[1], 24)
     psi = mp.inner_ratio(radii, 0)
     slope = float(np.polyfit(np.log(radii), np.log(psi), 1)[0])
 

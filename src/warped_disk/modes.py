@@ -13,8 +13,13 @@ with L_m psi_m = phi_m, where
 and phi_2m = exp(2 Lambda_m). On surfaces with steeply negative
 curvature, phi and the inner integral overflow doubles long before the
 quantities of interest do, so everything is accumulated in scaled form:
-the integration state is (Lambda, log w, z), advanced by an adaptive
-stiff-capable integrator whose dense output serves as the quadrature.
+the integration state is (Lambda, log w, z), advanced by LSODA, an
+adaptive stiff-capable integrator. A pass yields one of two products.
+Callers that name their radii (``biharmonic_mode`` at its grid nodes,
+the evidence ladder of ``asymptotics``) get the states at exactly those
+radii from one ``odeint`` call, which steps in compiled code from one
+radius to the next. Only the disk problem, whose solution is read at
+arbitrary points, gets a dense solution from ``solve_ivp``.
 The same solve integrates the profile itself, as log(phi/r) and
 phi'/phi - 1/r, from the curvature K(r) of ``MetricProfile.k``: each
 step evaluates K once and reads no profile interpolant, and each pass
@@ -30,10 +35,11 @@ the Liouville-type dichotomies, so it is exposed alongside the modes.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import LSODA, solve_ivp
+from scipy.integrate import ODEintWarning, odeint, solve_ivp
 
 from ._util import write_csv
 from .errors import DomainError, QuadratureError
@@ -108,19 +114,23 @@ class BiharmonicMode:
 _LAM = 2
 _W = 3
 
+# odeint's per-call step cap, 500 by default; solve_ivp has none, and
+# between two far-apart radii a long pass needs more
+_MXSTEP = 1_000_000_000
+_ODEINT_SUCCESS = "Integration successful."
 
-class _AnchoredLSODA(LSODA):
-    """LSODA recording Lambda_ref at r = 1 as a dense solution reads it, even when none is kept."""
 
-    def __init__(self, *args, at_one: list, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._at_one = at_one
+def _require_finite(t, states, what):
+    """Raise at the first radius of ``t`` whose state column is not finite.
 
-    def step(self):
-        message = super().step()
-        if self.status != "failed" and self.t_old < 1.0 <= self.t:
-            self._at_one.append(float(self.dense_output()(1.0)[_LAM]))
-        return message
+    A NaN from K(r) fails no error test, so LSODA carries it to the end
+    of the pass and reports success.
+    """
+    bad = ~np.isfinite(states).all(axis=0)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise QuadratureError(f"{what} reached a non-finite state at r = {t[i]:.6g}",
+                              worst_interval=(float(t[max(i - 1, 0)]), float(t[i])))
 
 
 class _ModePass:
@@ -146,8 +156,13 @@ class _ModePass:
     shift. The mode seed uses phi(t) ~ t on [0, t0]: the inner integrand
     behaves like t^(1+2|m|), so w(t0) = t0/(2+2|m|) and z(t0) = t0^2/(4+4|m|).
 
-    Given ``radii`` (increasing, in (t0, r_end]), only the states there
-    are kept instead of a dense solution, which saves memory.
+    Given ``radii`` (in (t0, r_end], any order), one ``odeint`` call
+    steps from each radius to the next and keeps the states there and at
+    r = 1; any subset of those radii reads back exactly, and any other
+    radius is refused. Without ``radii`` the pass keeps ``solve_ivp``'s
+    dense solution, readable anywhere in [t0, r_end]. Both drive the same
+    LSODA with the same right-hand side, Jacobian and tolerances. A solve
+    that stops, or reaches a non-finite state, raises QuadratureError.
 
     The accessors take the angular frequency m, which may be omitted
     when the pass holds only one.
@@ -222,20 +237,42 @@ class _ModePass:
               *[t0 * t0 / (4.0 + 4.0 * am) for am in ms]]
         span_end = max(r_end, 1.0)  # Lambda is anchored at r = 1
         rtol = max(rtol, 1e-13)     # below this the solver clamps anyway
-        at_one = []
-        sol = solve_ivp(rhs, (t0, span_end), y0, method=_AnchoredLSODA, at_one=at_one,
-                        rtol=rtol, atol=atol, jac=jac,
-                        dense_output=radii is None, t_eval=radii)
-        if sol.status != 0:
-            raise QuadratureError(
-                f"mode quadrature for m={', '.join(map(str, ms))} stopped: {sol.message}",
-                worst_interval=(float(sol.t[-1]), span_end),
-            )
-        self._sol = sol.sol
-        self._radii = radii
-        self._samples = None if radii is None else sol.y
-        # raw Lambda_ref at r = 1, the shift that normalizes phi_m(1) = 1
-        self.lam_at_one = at_one[0] if at_one else 0.0
+        what = f"mode quadrature for m={', '.join(map(str, ms))}"
+        if radii is None:
+            self._radii = None
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                sol = solve_ivp(rhs, (t0, span_end), y0, method="LSODA",
+                                rtol=rtol, atol=atol, jac=jac, dense_output=True)
+            if sol.status != 0:
+                # LSODA states its reason only in a warning; the error carries it
+                reason = "; ".join(str(w.message) for w in caught) or sol.message
+                raise QuadratureError(f"{what} stopped: {reason}",
+                                      worst_interval=(float(sol.t[-1]), span_end))
+            for w in caught:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+            _require_finite(sol.t, sol.y, what)
+            self._sol = sol.sol
+            # raw Lambda_ref at r = 1, the shift that normalizes phi_m(1) = 1
+            self.lam_at_one = float(sol.sol(1.0)[_LAM])
+            return
+        self._sol = None
+        self._radii = np.union1d(np.asarray(radii, dtype=float), 1.0)
+        if not (self._radii[0] > t0 and self._radii[-1] <= span_end):
+            raise DomainError(f"mode values only available on ({t0:g}, {span_end:g}]")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ODEintWarning)
+            ys, info = odeint(rhs, y0, np.concatenate(([t0], self._radii)), Dfun=jac,
+                              rtol=rtol, atol=atol, tcrit=[span_end], mxstep=_MXSTEP,
+                              full_output=True, tfirst=True)
+        if info["message"] != _ODEINT_SUCCESS:
+            # tcur holds the radius reached for each output up to the failed one
+            reached = float(info["tcur"][np.argmin(info["tcur"] >= self._radii)])
+            raise QuadratureError(f"{what} stopped: {info['message']}",
+                                  worst_interval=(reached, span_end))
+        self._samples = ys[1:].T
+        _require_finite(self._radii, self._samples, what)
+        self.lam_at_one = float(self._samples[_LAM, np.searchsorted(self._radii, 1.0)])
 
     def _index(self, m) -> int:
         if m is None:
@@ -250,9 +287,10 @@ class _ModePass:
     def _states(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         if self._sol is None:
-            if not np.array_equal(r, self._radii):
+            i = np.minimum(np.searchsorted(self._radii, r), self._radii.size - 1)
+            if np.any(self._radii[i] != r):
                 raise DomainError("this pass holds values only at the radii it was solved for")
-            return self._samples
+            return self._samples[:, i]
         if np.any(r < self.t0 * (1.0 - 1e-12)):
             raise DomainError(f"mode values only available for r >= {self.t0:g}")
         return self._sol(np.maximum(r, self.t0))
@@ -358,15 +396,19 @@ def biharmonic_mode(
 
 
 def mode_pass(profile: MetricProfile, m, r_end: float,
-              rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> _ModePass:
-    """Dense mode solution for callers that sample many radii at once.
+              rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
+              radii=None) -> _ModePass:
+    """Mode solution for callers that sample many radii at once.
 
     ``m`` is one angular frequency or a sequence of them; a sequence is
     solved as one system whose frequencies share the profile rows and the
     K(r) evaluation of every right-hand-side call. The pass runs _TIGHTEN
-    times tighter than the requested tolerances.
+    times tighter than the requested tolerances. Given ``radii`` it
+    holds the values at those radii (any subset can be read back, no
+    other radius); without, it holds a dense solution readable anywhere
+    in [t0, r_end].
     """
-    return _ModePass(profile, m, r_end, rtol / _TIGHTEN, atol / _TIGHTEN)
+    return _ModePass(profile, m, r_end, rtol / _TIGHTEN, atol / _TIGHTEN, radii=radii)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -207,17 +208,61 @@ def test_pass_accessors_name_the_mode(euclidean):
         mp.all_values(2.0, 2)
 
 
-def test_pass_kept_at_fixed_radii_equals_dense_pass(power1):
-    # keeping only the grid's states changes no value, the r = 1
-    # normalization included
+def test_pass_kept_at_fixed_radii_agrees_with_dense_pass(power1):
+    # the odeint pass at named radii and the dense solve_ivp pass drive the
+    # same LSODA, but from different first steps; run as biharmonic_mode's
+    # loose pass for a request of rtol, they agree within the allowance its
+    # check gives that request, the r = 1 normalization included
+    rtol = 1e-11 * modes._DELIVER
     r = np.geomspace(0.05, 20.0, 41)
-    dense = modes._ModePass(power1.metric, range(3), 20.0, 1e-11, 1e-13)
-    kept = modes._ModePass(power1.metric, range(3), 20.0, 1e-11, 1e-13, radii=r)
-    assert kept.lam_at_one == dense.lam_at_one
-    for a, b in zip(dense.lam_z(r), kept.lam_z(r)):
-        assert_array_equal(a, b)
-    with pytest.raises(wd.DomainError):
-        kept.lam_z(r[:-1])
+    tols = (rtol / modes._DELIVER, 1e-13)
+    dense = modes._ModePass(power1.metric, range(3), 20.0, *tols)
+    kept = modes._ModePass(power1.metric, range(3), 20.0, *tols, radii=r)
+
+    def close(a, b):
+        allowed = modes._BOUND_SAFETY * rtol * np.maximum(1.0, np.abs(b))
+        assert np.all(np.abs(a - b) <= allowed)
+
+    close(kept.lam_at_one, dense.lam_at_one)
+    for a, b in zip(kept.lam_z(r), dense.lam_z(r)):
+        close(a, b)
+    # any subset of the kept radii reads back the same values, any other radius is refused
+    sub = r[[30, 2, 17]]
+    for a, b in zip(kept.lam_z(sub), kept.lam_z(r)):
+        assert_array_equal(a, b[:, [30, 2, 17]])
+    assert_array_equal(kept.inner_ratio(r[5], 1), kept.inner_ratio(r, 1)[5])
+    for other in (0.5 * (r[3] + r[4]), r[:-1] * (1.0 + 1e-15), 25.0, 1e-3):
+        with pytest.raises(wd.DomainError):
+            kept.lam_z(other)
+
+
+@pytest.mark.parametrize("path", ["kept", "dense"])
+def test_non_finite_curvature_raises_at_its_radius(euclidean, path):
+    # NaN fails no error test, so the solver itself reports success
+    bad = dataclasses.replace(euclidean.metric, k=lambda r: math.nan if r > 5.0 else 0.0)
+    with pytest.raises(wd.QuadratureError, match="non-finite") as info:
+        if path == "kept":
+            wd.biharmonic_mode(bad, 2, RadialGrid.geometric(0.1, 50.0, 20))
+        else:
+            mode_pass(bad, [1, 2], 50.0).lam_z(40.0)
+    lo, hi = info.value.worst_interval
+    assert lo <= 5.0 < hi <= 10.0
+
+
+@pytest.mark.parametrize("path", ["kept", "dense"])
+def test_stopped_pass_raises_without_a_warning(euclidean, path):
+    # K = 1e6 makes phi oscillate with period 2 pi / 1000: LSODA gives up
+    # near its first zero, r = pi/1000, and says why in the error alone
+    stiff = dataclasses.replace(euclidean.metric, k=lambda r: 1e6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(wd.QuadratureError, match="convergence failures") as info:
+            if path == "kept":
+                wd.biharmonic_mode(stiff, 2, RadialGrid.geometric(0.1, 50.0, 20))
+            else:
+                mode_pass(stiff, [1, 2], 50.0)
+    lo, hi = info.value.worst_interval
+    assert lo == pytest.approx(math.pi / 1000.0, rel=0.01) and hi == 50.0
 
 
 def test_biharmonic_mode_return_shape(euclidean):
