@@ -216,14 +216,14 @@ def cmd_modes(cfg: RunConfig) -> int:
     grid = _run_grid(cfg, surface.metric.require_radius(cfg.horizon))
     out = _outdir(cfg)
     print(f"profile = {surface.name}")
-    print("m  max_scaled_residual_eq4  max_scaled_residual_eq6  file")
+    print("m  max_scaled_residual_eq4  max_scaled_residual_eq6  max_scaled_residual_profile  file")
     bmodes = modes.biharmonic_mode(surface.metric, range(cfg.m_max + 1), grid,
                                    rtol=cfg.rtol, atol=cfg.atol)
     for m, bmode in enumerate(bmodes):
         rep = modes.verify_mode_residuals(surface.metric, bmode)
         path = out / f"mode_{m}.csv"
         modes.export_mode_csv(path, bmode)
-        print(f"{m}  {rep.harmonic:.6e}  {rep.biharmonic:.6e}  {path}")
+        print(f"{m}  {rep.harmonic:.6e}  {rep.biharmonic:.6e}  {rep.profile:.6e}  {path}")
     return EXIT_OK
 
 

@@ -11,6 +11,7 @@ carried in log space: the state is ``(log phi, phi'/phi)``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -200,10 +201,18 @@ class MetricProfile:
     ``k`` is the Gaussian curvature K(r) = -phi''/phi of one float r, as
     a float (no numpy, so a right-hand side can call it every step). The
     mode passes integrate phi from it together with the modes and read
-    none of the four evaluators; those remain for the one-off array
-    reads (residual checks, evidence probes, origin and round-trip
-    checks). A profile without ``k`` serves only those reads; mode
-    passes refuse it.
+    none of the four evaluators, and the mode residual checks read the
+    passes' own profile rows. The evaluators remain for the other
+    one-off array reads (evidence probes, the disk residual check,
+    origin and round-trip checks). A profile without ``k`` serves only
+    those reads; mode passes refuse it.
+
+    The evaluators of a curvature-integrated built-in solve the profile
+    when one of them is first read and reuse that solve after (see
+    ``builtin_profile``); a profile that is never read costs no solve.
+    Threads that read such a profile for the first time at once may each
+    run the same solve; every run gives the same profile, so the race
+    is harmless.
     """
 
     phi: Callable
@@ -244,6 +253,32 @@ def _as_curvature_callable(curvature) -> Callable:
     raise DomainError("curvature must be a CurvatureProfile or a callable K(r)")
 
 
+def _check_curvature_ivp(k_fn: Callable, r_max: float,
+                         step_control: tuple[float, float]) -> tuple[float, float]:
+    """Refuse a curvature IVP that cannot start; returns (rtol, atol).
+
+    Checks the tolerances, that r_max lies beyond the origin step, and
+    that K is finite at 64 radii spread geometrically over
+    [ORIGIN_STEP, r_max]. K is probed at Python floats with numpy's
+    floating-point warnings off: an overflowing K (a float OverflowError,
+    or inf/nan from numpy) is a DomainError, never a RuntimeWarning.
+    """
+    rtol, atol = float(step_control[0]), float(step_control[1])
+    if rtol <= 0.0 or atol <= 0.0:
+        raise DomainError("step_control tolerances must be positive")
+    if not ORIGIN_STEP < r_max:
+        raise DomainError(f"r_max must exceed the origin step {ORIGIN_STEP:g}")
+    try:
+        with np.errstate(all="ignore"):
+            kp = np.asarray([k_fn(r) for r in np.geomspace(ORIGIN_STEP, r_max, 64).tolist()],
+                            dtype=float)
+    except OverflowError:
+        kp = np.array([math.inf])
+    if not np.all(np.isfinite(kp)):
+        raise DomainError("curvature is not finite on (0, r_max]")
+    return rtol, atol
+
+
 def profile_from_curvature(
     curvature,
     r_max: float,
@@ -260,18 +295,8 @@ def profile_from_curvature(
     positive radius, and IntegrationError when the solver gives up.
     """
     k_fn = _as_curvature_callable(curvature)
-    rtol, atol = float(step_control[0]), float(step_control[1])
-    if rtol <= 0.0 or atol <= 0.0:
-        raise DomainError("step_control tolerances must be positive")
+    rtol, atol = _check_curvature_ivp(k_fn, r_max, step_control)
     h0 = ORIGIN_STEP
-    if not h0 < r_max:
-        raise DomainError(f"r_max must exceed the origin step {h0:g}")
-
-    probe = np.geomspace(h0, r_max, 64)
-    kp = np.asarray([k_fn(r) for r in probe], dtype=float)
-    if not np.all(np.isfinite(kp)):
-        raise DomainError("curvature is not finite on (0, r_max]")
-
     k0 = float(k_fn(0.0))
     phi0 = h0 - k0 * h0**3 / 6.0
     dphi0 = 1.0 - k0 * h0**2 / 2.0
@@ -452,6 +477,17 @@ def builtin_profile(
       log-threshold(eps, r0)       K -> -(1+eps)/(r^2 log r),  r0 >= 2
       power-curvature(eps, r0)     K -> -r^(2+eps)
       quadratic-curvature(eta, r0) K -> -eta r^2
+
+    For those three, construction checks the step control, r_max and
+    the finiteness of K as ``profile_from_curvature`` does, and sets the
+    scalar ``k`` the mode passes integrate from, but solves no profile:
+    the four evaluators run ``profile_from_curvature`` with the same
+    arguments when one of them is first read, and every later read
+    reuses that solve (concurrent first reads may solve twice, to the
+    same result). Commands that read only ``k`` never pay for the
+    solve. Built-in K is negative on [0, inf), so phi'' = -K phi > 0 and
+    phi has no conjugate point; the only error the deferred solve can
+    raise at the first read is an IntegrationError.
     """
     key = name.strip().lower().replace("_", "-")
     if key == "euclidean":
@@ -525,7 +561,24 @@ def builtin_profile(
     # the mode passes); the curvature's array form maps it over its input
     k = _blended_curvature(tail, r0)
     curv = CurvatureProfile(k=np.vectorize(k, otypes=[float]), tail=declared, name=label)
-    metric = profile_from_curvature(k, r_max=r_max, step_control=step_control, name=label)
+    _check_curvature_ivp(k, r_max, step_control)
+
+    @functools.cache
+    def solved() -> MetricProfile:
+        return profile_from_curvature(k, r_max=r_max, step_control=step_control, name=label)
+
+    def evaluator(field: str) -> Callable:
+        return lambda r: getattr(solved(), field)(r)
+
+    metric = MetricProfile(
+        phi=evaluator("phi"),
+        phi_prime=evaluator("phi_prime"),
+        log_phi=evaluator("log_phi"),
+        dlog_phi=evaluator("dlog_phi"),
+        r_max=float(r_max),
+        name=label,
+        k=k,
+    )
     return Surface(label, metric, curv)
 
 

@@ -30,6 +30,13 @@ its set of m this way, a single m included; ``biharmonic_mode`` solves
 it twice, the gap bounding the error.
 The inner ratio w is exactly the quantity whose growth or decay drives
 the Liouville-type dichotomies, so it is exposed alongside the modes.
+
+``biharmonic_mode`` keeps the tight pass's profile rows at its grid
+nodes, as log phi and phi'/phi, beside the modes. ``verify_mode_residuals``
+differences the modes against those rows and checks the rows against
+K(r) through the Riccati equation (phi'/phi)' + (phi'/phi)^2 + K = 0, so
+neither check reads a profile interpolant, and ``modes`` on a built-in
+surface solves no profile apart from its mode passes.
 """
 
 from __future__ import annotations
@@ -44,8 +51,7 @@ from scipy.integrate import ODEintWarning, odeint, solve_ivp
 from ._util import write_csv
 from .errors import DomainError, QuadratureError
 from .geometry import MetricProfile, RadialGrid
-from .operators import sample_derivatives  # noqa: F401 -- patched by benchmarks/tracing.py
-from .operators import separated_laplacian
+from .operators import sample_derivatives, separated_laplacian
 
 __all__ = [
     "BiharmonicMode",
@@ -76,7 +82,9 @@ class BiharmonicMode:
     """The mode pair phi_m, psi_m = z phi_m as Lambda_m, z and log psi_m on a grid.
 
     ``quadrature_error`` bounds log psi_m per node; ``lam_error`` bounds
-    Lambda_m = log phi_m alone.
+    Lambda_m = log phi_m alone. ``log_phi`` and ``dlog_phi`` hold log phi
+    and phi'/phi of the profile at the nodes, as the pass that produced
+    the modes integrated them from K(r).
     """
 
     m: int
@@ -86,9 +94,12 @@ class BiharmonicMode:
     log_psi: np.ndarray
     quadrature_error: np.ndarray
     lam_error: np.ndarray
+    log_phi: np.ndarray
+    dlog_phi: np.ndarray
 
     def __post_init__(self):
-        for name in ("lam", "z", "log_psi", "quadrature_error", "lam_error"):
+        for name in ("lam", "z", "log_psi", "quadrature_error", "lam_error",
+                     "log_phi", "dlog_phi"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != self.grid.nodes.shape:
                 raise DomainError("mode arrays must match the grid length")
@@ -319,6 +330,12 @@ class _ModePass:
         out = self._states(r)
         return self._lams(out), out[_W + len(self.ms):]
 
+    def profile_rows(self, r):
+        """(log phi, phi'/phi) at the radii r, as this pass integrated them."""
+        r = np.asarray(r, dtype=float)
+        a, b = self._states(r)[:_LAM]
+        return a + np.log(r), b + 1.0 / r
+
 
 # Dense-output interpolation error is not controlled by the step
 # tolerances and can dominate when both passes take similar steps; the
@@ -357,7 +374,8 @@ def biharmonic_mode(
     comparing the requested-tolerance pass against one two orders
     tighter: ``quadrature_error`` for log psi_m, ``lam_error`` for
     Lambda_m alone. Each pass integrates the profile from K(r) itself,
-    so the bounds cover the profile's error as well.
+    so the bounds cover the profile's error as well; the tight pass's
+    profile rows are kept as ``log_phi`` and ``dlog_phi``.
     """
     if rtol <= 0.0 or atol <= 0.0:
         raise DomainError("quadrature tolerances must be positive")
@@ -372,6 +390,7 @@ def biharmonic_mode(
     tight = _ModePass(profile, ms, grid.r_max, rtol / (_DELIVER * _TIGHTEN),
                       atol / (_DELIVER * _TIGHTEN), t0=t0, radii=nodes)
     lam_t, z_t = tight.lam_z(nodes)
+    log_phi, dlog_phi = tight.profile_rows(nodes)
 
     out = []
     for mi in ms:
@@ -391,6 +410,8 @@ def biharmonic_mode(
             log_psi=lam_t[k] + np.log(z_t[k]),
             quadrature_error=err_lam + err_z / np.maximum(z_t[k], 1e-300),
             lam_error=np.zeros_like(err_lam) if am == 0 else err_lam,
+            log_phi=log_phi,
+            dlog_phi=dlog_phi,
         ))
     return out[0] if single else tuple(out)
 
@@ -421,28 +442,42 @@ class ResidualReport:
 
     ``harmonic`` is max |L_m phi_m| / max(1, phi_m) (eq4) and
     ``biharmonic`` is max |L_m psi_m - phi_m| / max(1, phi_m) (eq6).
+    ``profile`` is max |v' + v^2 + K| / max(1, v^2, |K|) for the
+    profile rows v = phi'/phi the modes were computed with.
     """
 
     harmonic: float
     biharmonic: float
+    profile: float
 
 
 _LINEAR_LAM_CAP = 300.0  # below this, exp(Lambda) is safely representable
 
 
 def verify_mode_residuals(profile: MetricProfile, mode: BiharmonicMode) -> ResidualReport:
-    """Check a mode pair against L_m phi_m = 0 and L_m psi_m = phi_m.
+    """Check a mode pair against L_m phi_m = 0 and L_m psi_m = phi_m, and its profile against K.
 
-    Both residuals are divided by max(1, phi_m) and reported as maxima
-    over the interior nodes. phi_m, and psi_m where phi_m is also small,
-    are differenced in linear space (the stencils are then exact on
+    L_m is applied with the profile rows the mode carries (``log_phi``,
+    ``dlog_phi``); phi is formed as r exp(log(phi/r)), so a flat profile
+    gives phi = r exactly. No profile evaluator is read. Both residuals
+    are divided by max(1, phi_m) and reported as maxima over the
+    interior nodes. phi_m, and psi_m where phi_m is also small, are
+    differenced in linear space (the stencils are then exact on
     low-degree polynomial modes); larger ones through the log form of
     ``separated_laplacian``, which stays representable.
+
+    The rows themselves are checked against ``profile.k`` at the nodes:
+    v = phi'/phi obeys v' + v^2 + K = 0, with v' differenced from the
+    rows. The check therefore does not take the pass's word for the
+    profile, and a mode checked against another surface's K fails it.
     """
     x = mode.grid.nodes
     if x.size < 5:
         raise DomainError("residual verification needs at least five nodes")
-    v = np.asarray(profile.dlog_phi(x), dtype=float)
+    if profile.k is None:
+        raise DomainError("residual verification checks the profile against its "
+                          "curvature; this profile has no scalar K(r) (MetricProfile.k)")
+    v, log_phi = mode.dlog_phi, mode.log_phi
     phi_m = np.exp(np.minimum(mode.lam, 700.0))
     log_f = np.stack([mode.lam, mode.log_psi])   # log phi_m, log psi_m
     linear = np.max(log_f, axis=1) <= _LINEAR_LAM_CAP
@@ -450,12 +485,11 @@ def verify_mode_residuals(profile: MetricProfile, mode: BiharmonicMode) -> Resid
     res = np.empty_like(log_f)
     if np.any(linear):
         with np.errstate(over="ignore"):
-            phi = np.asarray(profile.phi(x), dtype=float)
+            phi = x * np.exp(log_phi - np.log(x))
         lap = separated_laplacian(mode.m, x, np.exp(log_f[linear]), v, phi=phi)
         target = np.stack([np.zeros_like(phi_m), phi_m])[linear]
         res[linear] = np.abs(lap - target) / np.maximum(1.0, phi_m)
     if not np.all(linear):
-        log_phi = np.asarray(profile.log_phi(x), dtype=float)
         ratio = separated_laplacian(mode.m, x, log_f[~linear], v, log_phi=log_phi)
         # (L f - target)/max(1, phi_m) = ((f/phi_m) L f/f - target/phi_m) min(phi_m, 1),
         # with f/phi_m = 1, z and target/phi_m = 0, 1 for phi_m, psi_m
@@ -463,7 +497,12 @@ def verify_mode_residuals(profile: MetricProfile, mode: BiharmonicMode) -> Resid
         res[~linear] = (np.abs(f_over_phi * ratio - np.array([[0.0], [1.0]])[~linear])
                         * np.minimum(phi_m, 1.0))
     worst = np.max(res[:, 1:-1], axis=1)
-    return ResidualReport(harmonic=float(worst[0]), biharmonic=float(worst[1]))
+    k = np.array([profile.k(r) for r in x.tolist()], dtype=float)
+    dv, _ = sample_derivatives(x, v)
+    riccati = (np.abs(dv + v * v + k)
+               / np.maximum(np.maximum(1.0, v * v), np.abs(k)))[1:-1]
+    return ResidualReport(harmonic=float(worst[0]), biharmonic=float(worst[1]),
+                          profile=float(np.max(riccati)))
 
 
 # ----------------------------------------------------------------------

@@ -3,10 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from warped_disk import bvp, cli
+from warped_disk import bvp, cli, geometry
 from warped_disk.errors import DomainError
 
 POWER = ["--profile", "power-curvature", "--eps", "1", "--mmax", "2"]
+
+
+def test_modes_on_a_curved_builtin_solves_no_curvature_ivp(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(geometry, "solve_ivp", lambda *a, **k: calls.append(a))
+    code = cli.main(["modes", *POWER, "--horizon", "5", "--rmax", "10",
+                     "--grid", "geometric,1e-3,128", "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    assert calls == []
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1].split() == ["m", "max_scaled_residual_eq4", "max_scaled_residual_eq6",
+                               "max_scaled_residual_profile", "file"]
+    for m, row in enumerate(rows[2:]):
+        fields = row.split()
+        assert fields[0] == str(m) and fields[4].endswith(f"mode_{m}.csv")
+        assert all(math.isfinite(float(v)) for v in fields[1:4])
 
 
 def test_verify_infeasible_tolerance_has_its_own_exit_code(tmp_path):

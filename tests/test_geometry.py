@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import warped_disk as wd
+from warped_disk import geometry
 from warped_disk.geometry import RadialGrid, read_profile_file
 from warped_disk.operators import sample_derivatives
 
@@ -159,6 +163,95 @@ def test_ivp_rejects_bad_arguments():
         wd.profile_from_curvature(lambda r: np.nan, r_max=2.0)
     with pytest.raises(wd.DomainError):
         wd.profile_from_curvature("not-a-curvature", r_max=2.0)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("power-curvature", {"eps": 300.0}),
+    ("quadratic-curvature", {"eta": 1e308}),
+])
+def test_overflowing_builtin_curvature_is_a_domain_error_without_warning(name, params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(wd.DomainError, match="not finite"):
+            wd.builtin_profile(name, **params)
+
+
+_CURVED = [
+    ("power-curvature", {"eps": 1.0}),
+    ("quadratic-curvature", {"eta": 1.25}),
+    ("log-threshold", {"eps": 0.5}),
+]
+
+
+@pytest.fixture
+def ivp_calls(monkeypatch):
+    """Counts the curvature IVPs solved through geometry.solve_ivp."""
+    calls = []
+    solve_ivp = geometry.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "solve_ivp", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, params", _CURVED)
+def test_curved_builtin_solves_its_profile_on_first_read(ivp_calls, name, params):
+    surface = wd.builtin_profile(name, r_max=60.0, **params)
+    assert ivp_calls == []
+    r = np.geomspace(1e-7, 12.0, 97)   # phi stays below overflow here
+    first = {f: np.asarray(getattr(surface.metric, f)(r))
+             for f in ("phi", "phi_prime", "log_phi", "dlog_phi")}
+    assert len(ivp_calls) == 1
+    eager = wd.profile_from_curvature(surface.metric.k, r_max=60.0,
+                                      step_control=(geometry.DEFAULT_RTOL, geometry.DEFAULT_ATOL),
+                                      name=surface.name)
+    for field, values in first.items():
+        np.testing.assert_array_equal(values, getattr(eager, field)(r))
+    surface.metric.phi(r)
+    assert len(ivp_calls) == 2   # the eager solve above; later reads reuse the first
+    assert eager.name == surface.metric.name and eager.r_max == surface.metric.r_max
+
+
+def test_concurrent_first_reads_agree():
+    # threads that find the profile unsolved may each solve it; all must
+    # read the one result an eager solve gives
+    surface = wd.builtin_profile("power-curvature", eps=1.0, r_max=30.0)
+    r = np.geomspace(1e-3, 10.0, 33)
+    results = [None] * 4
+    start = threading.Barrier(len(results))
+
+    def read(i):
+        start.wait(timeout=30.0)
+        results[i] = surface.metric.log_phi(r)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    eager = wd.profile_from_curvature(surface.metric.k, r_max=30.0, name=surface.name)
+    for values in results:
+        np.testing.assert_array_equal(values, eager.log_phi(r))
+
+
+@pytest.mark.parametrize("name, params", _CURVED)
+def test_curved_builtin_checks_its_ivp_at_construction(ivp_calls, name, params):
+    with pytest.raises(wd.DomainError, match="step_control"):
+        wd.builtin_profile(name, step_control=(0.0, 1e-12), **params)
+    with pytest.raises(wd.DomainError, match="step_control"):
+        wd.builtin_profile(name, step_control=(1e-10, -1.0), **params)
+    with pytest.raises(wd.DomainError, match="origin step"):
+        wd.builtin_profile(name, r_max=geometry.ORIGIN_STEP / 2.0, **params)
+    assert ivp_calls == []
 
 
 def test_ivp_positivity_on_grid():

@@ -14,6 +14,7 @@ from warped_disk.modes import export_mode_csv, mode_pass
 from warped_disk.operators import separated_laplacian
 
 TIGHT = dict(rtol=1e-10, atol=1e-12)
+FAR = 1100.0  # as in conftest
 
 
 # ----------------------------------------------------------------------
@@ -370,13 +371,21 @@ def test_residuals_log_path_for_huge_modes(euclidean):
     assert rep.harmonic < 1e-4
 
 
-def _separate_residuals(profile, mode):
-    """The eq4 and eq6 maxima as two separate checks of the pair compute them."""
+def _separate_residuals(mode, profile=None):
+    """The eq4 and eq6 maxima as two separate checks of the pair compute them.
+
+    The profile comes from the mode's own rows, phi as r exp(log(phi/r));
+    given ``profile``, from its evaluators instead.
+    """
     x, m, lam = mode.grid.nodes, mode.m, mode.lam
-    v = np.asarray(profile.dlog_phi(x), dtype=float)
     with np.errstate(over="ignore"):
-        phi = np.asarray(profile.phi(x), dtype=float)
-    log_phi = np.asarray(profile.log_phi(x), dtype=float)
+        if profile is None:
+            v, log_phi = mode.dlog_phi, mode.log_phi
+            phi = x * np.exp(log_phi - np.log(x))
+        else:
+            v = np.asarray(profile.dlog_phi(x), dtype=float)
+            phi = np.asarray(profile.phi(x), dtype=float)
+            log_phi = np.asarray(profile.log_phi(x), dtype=float)
     weight = np.minimum(np.exp(np.minimum(lam, 700.0)), 1.0)
     if np.max(lam) <= 300.0:
         f = np.exp(lam)
@@ -393,14 +402,17 @@ def _separate_residuals(profile, mode):
     return float(np.max(eq4[1:-1])), float(np.max(eq6[1:-1]))
 
 
-@pytest.mark.parametrize("surface, ms, grid, forms", [
+_PAIR_CASES = [
     ("euclidean", range(4), RadialGrid.geometric(1e-3, 1000.0, 256), "linear"),
     ("hyperbolic", range(4), RadialGrid.geometric(0.05, 30.0, 129), "linear"),
     ("power1", range(3), RadialGrid.geometric(1e-3, 100.0, 256), "linear"),
     ("euclidean", (43,), RadialGrid.uniform(100.0, 1000.0, 201), "mixed"),
     ("euclidean", (130,), RadialGrid.uniform(300.0, 600.0, 201), "log"),
     ("euclidean", (280,), RadialGrid.uniform(2.8, 2.95, 41), "small_z"),
-])
+]
+
+
+@pytest.mark.parametrize("surface, ms, grid, forms", _PAIR_CASES)
 def test_pair_check_equals_separate_checks(request, surface, ms, grid, forms):
     # one call per pair rounds exactly as the separate eq4 and eq6 checks,
     # in linear form, in log form, with phi_m linear beside psi_m in log form,
@@ -411,7 +423,39 @@ def test_pair_check_equals_separate_checks(request, surface, ms, grid, forms):
         assert in_log == {"linear": (False, False), "mixed": (False, True),
                           "log": (True, True), "small_z": (True, False)}[forms]
         rep = wd.verify_mode_residuals(metric, mode)
-        assert (rep.harmonic, rep.biharmonic) == _separate_residuals(metric, mode)
+        assert (rep.harmonic, rep.biharmonic) == _separate_residuals(mode)
+
+
+@pytest.mark.parametrize("surface, ms, grid, forms",
+                         [case for case in _PAIR_CASES if case[0] == "euclidean"])
+def test_flat_rows_give_the_closed_form_residuals(euclidean, surface, ms, grid, forms):
+    # on K = 0 the pass rows are log r and 1/r exactly, so the residuals
+    # equal those of the closed-form evaluators bit for bit
+    for mode in wd.biharmonic_mode(euclidean.metric, ms, grid):
+        assert_array_equal(mode.log_phi, np.log(grid.nodes))
+        assert_array_equal(mode.dlog_phi, 1.0 / grid.nodes)
+        rep = wd.verify_mode_residuals(euclidean.metric, mode)
+        assert (rep.harmonic, rep.biharmonic) == _separate_residuals(mode, euclidean.metric)
+
+
+def test_profile_residual_catches_another_surfaces_curvature(power1):
+    power2 = wd.builtin_profile("power-curvature", eps=2.0, r_max=FAR)
+    grid = RadialGrid.geometric(1e-3, 20.0, 256)
+    mode = wd.biharmonic_mode(power1.metric, 1, grid)
+    matched = wd.verify_mode_residuals(power1.metric, mode).profile
+    foreign = wd.verify_mode_residuals(power2.metric, mode).profile
+    assert matched < 1e-2
+    assert foreign >= 100.0 * matched
+
+
+def test_mode_profile_rows_match_the_profile(power1):
+    grid = RadialGrid.geometric(1e-3, 20.0, 64)
+    mode = wd.biharmonic_mode(power1.metric, 2, grid, **TIGHT)
+    # the eager profile runs at rtol 1e-10, so its own error sets the scale
+    assert_allclose(mode.log_phi, power1.metric.log_phi(grid.nodes), rtol=1e-9, atol=1e-7)
+    assert_allclose(mode.dlog_phi, power1.metric.dlog_phi(grid.nodes), rtol=1e-7)
+    with pytest.raises(ValueError):
+        mode.log_phi[0] = 0.0
 
 
 # ----------------------------------------------------------------------
