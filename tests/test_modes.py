@@ -14,7 +14,6 @@ from warped_disk.modes import export_mode_csv, mode_pass
 from warped_disk.operators import separated_laplacian
 
 TIGHT = dict(rtol=1e-10, atol=1e-12)
-FAR = 1100.0  # as in conftest
 
 
 # ----------------------------------------------------------------------
@@ -439,7 +438,7 @@ def test_flat_rows_give_the_closed_form_residuals(euclidean, surface, ms, grid, 
 
 
 def test_profile_residual_catches_another_surfaces_curvature(power1):
-    power2 = wd.builtin_profile("power-curvature", eps=2.0, r_max=FAR)
+    power2 = wd.builtin_profile("power-curvature", eps=2.0, r_max=power1.metric.r_max)
     grid = RadialGrid.geometric(1e-3, 20.0, 256)
     mode = wd.biharmonic_mode(power1.metric, 1, grid)
     matched = wd.verify_mode_residuals(power1.metric, mode).profile
