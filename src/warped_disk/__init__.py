@@ -18,7 +18,6 @@ from .asymptotics import (
     UNDETERMINED,
     ClassificationReport,
     classify_surface,
-    estimate_log_derivative_limit,
     fit_tail_exponent,
     numeric_evidence,
 )

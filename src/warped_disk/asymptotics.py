@@ -5,9 +5,9 @@ Two routes feed a classification:
 * declared route -- the curvature carries a tail declaration (an
   inequality beyond some radius), and the inequality is verified on
   samples up to the horizon, never assumed;
-* numeric route -- boundedness verdicts for phi_m and the reduction
-  factor z at a finite horizon, plus the fitted decay exponent of the
-  mean-integral ratio.
+* numeric route -- boundedness verdicts at a finite horizon for
+  Lambda_m, bounded exactly when the surface is hyperbolic (Milnor's
+  criterion, Lambda_m = |m| integral_1^r ds/phi), and for z.
 
 The regime labels:
 
@@ -16,9 +16,9 @@ The regime labels:
               | undetermined
 
 A label is only emitted when its triggering inequality was sample-
-verified (declared route) or the numeric verdicts agree across tested
-angular frequencies. Regions the theory does not cover come out
-undetermined on purpose.
+verified (declared route) or the numeric verdicts are determinate: one
+Lambda verdict stands for every m != 0, and the z verdicts must agree.
+Regions the theory does not cover come out undetermined on purpose.
 """
 
 from __future__ import annotations
@@ -45,12 +45,10 @@ __all__ = [
     "LIOUVILLE_TO_HARMONIC",
     "ADMITS_NONHARMONIC_BOUNDED",
     "UNDETERMINED",
-    "LimitEstimate",
     "TailFit",
     "ModeEvidence",
     "EvidenceBundle",
     "ClassificationReport",
-    "estimate_log_derivative_limit",
     "fit_tail_exponent",
     "numeric_evidence",
     "classify_surface",
@@ -79,54 +77,6 @@ PLATEAU_FRAC = 1e-6
 RATIO_BOUNDED = 0.92
 RATIO_UNBOUNDED = 0.97
 FIT_RESIDUAL_MAX = 0.05
-
-
-# ----------------------------------------------------------------------
-# log-derivative limit
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LimitEstimate:
-    """Finite-horizon estimate of lim phi'/phi."""
-
-    last: float
-    extrapolated: float
-    trend: str                  # "decreasing" | "increasing" | "flat" | "mixed"
-    radii: np.ndarray
-    values: np.ndarray
-
-
-def estimate_log_derivative_limit(
-    profile: MetricProfile, horizon: float, n: int = 12
-) -> LimitEstimate:
-    """Sample phi'/phi at geometrically spaced radii up to the horizon.
-
-    Returns the last sample, an Aitken-extrapolated limit, and a
-    monotonicity flag over the sampled window.
-    """
-    horizon = profile.require_radius(horizon)
-    radii = horizon / 2.0 ** np.arange(n - 1, -1.0, -1.0)
-    values = np.asarray(profile.dlog_phi(radii), dtype=float)
-    diffs = np.diff(values[-6:])
-    if np.all(diffs <= 1e-14):
-        trend = "flat" if np.allclose(diffs, 0.0, atol=1e-14) else "decreasing"
-    elif np.all(diffs >= -1e-14):
-        trend = "increasing"
-    else:
-        trend = "mixed"
-    d1 = values[-1] - values[-2]
-    d2 = d1 - (values[-2] - values[-3])
-    if abs(d2) > 1e-14 * max(1.0, abs(values[-1])):
-        extrapolated = values[-1] - d1 * d1 / d2
-    else:
-        extrapolated = values[-1]
-    return LimitEstimate(
-        last=float(values[-1]),
-        extrapolated=float(extrapolated),
-        trend=trend,
-        radii=radii,
-        values=values,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -191,57 +141,49 @@ def _ladder(horizon: float, r_base: float = 2.0) -> np.ndarray:
     return horizon / 2.0 ** np.arange(k, -1.0, -1.0)
 
 
-def _increment_verdict(values: np.ndarray) -> tuple[str, float, float]:
-    """Verdict for a nondecreasing quantity sampled at doubling radii.
-
-    Returns (verdict, median increment ratio, last increment relative to
-    the final value).
-    """
+def _increment_verdict(values: np.ndarray) -> tuple[str, float]:
+    """(verdict, median increment ratio) for a nondecreasing quantity at doubling radii."""
     values = np.asarray(values, dtype=float)
     scale = max(abs(values[-1]), 1e-30)
     inc = np.diff(values)
-    rel_last = float(inc[-1] / scale)
     if np.all(np.abs(inc) <= 1e-12 * scale):
-        return BOUNDED, 0.0, rel_last
+        return BOUNDED, 0.0
     if inc[-1] <= PLATEAU_FRAC * scale and inc[-2] <= PLATEAU_FRAC * scale:
-        return BOUNDED, 0.0, rel_last
+        return BOUNDED, 0.0
     tail = inc[-4:]
     if np.any(tail <= 0.0):
-        return BOUNDED, 0.0, rel_last  # increments already at rounding level
+        return BOUNDED, 0.0  # increments already at rounding level
     ratios = tail[1:] / tail[:-1]
     rho = float(np.median(ratios))
     if np.all(ratios >= 1.0 - 1e-9) or rho >= RATIO_UNBOUNDED:
-        return UNBOUNDED, rho, rel_last
+        return UNBOUNDED, rho
     if rho <= RATIO_BOUNDED:
-        return BOUNDED, rho, rel_last
-    return UNDETERMINED, rho, rel_last
+        return BOUNDED, rho
+    return UNDETERMINED, rho
 
 
 @dataclass(frozen=True)
 class ModeEvidence:
-    """Finite-horizon growth evidence for one angular frequency."""
+    """The z ladder's verdict for one angular frequency."""
 
     m: int
-    phi_verdict: str
     z_verdict: str
-    phi_ratio: float
-    z_ratio: float
-    lam_at_horizon: float
-    z_at_horizon: float
-    inner_ratio_max: float      # max of w(s) up to the horizon
 
 
 @dataclass(frozen=True)
 class EvidenceBundle:
-    """Everything the numeric route knows about a profile at its horizon."""
+    """Everything the numeric route knows about a profile at its horizon.
+
+    ``phi_verdict`` is the ladder verdict on Lambda_ref, Lambda of the
+    largest tested |m|. Lambda_m = (|m|/m_ref) Lambda_ref and the verdict
+    rule does not depend on scale, so it holds for every m != 0.
+    """
 
     horizon: float
+    phi_verdict: str
     modes: tuple[ModeEvidence, ...]
-    ratio_slope: float
-    ratio_window: tuple[float, float]
     phi_grows: bool
     phi_nondecreasing: bool
-    log_derivative: LimitEstimate
 
     def mode(self, m: int) -> ModeEvidence:
         for ev in self.modes:
@@ -257,48 +199,21 @@ def numeric_evidence(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> EvidenceBundle:
-    """Boundedness verdicts for phi_m and z, and the ratio decay slope.
+    """Doubling-ladder boundedness verdicts for Lambda and for z of each m.
 
-    Verdicts follow the doubling-ladder rule; the mean-integral-ratio
-    slope is fitted over the last decade of radii. One mode pass carries
-    m = 0 and every tested angular frequency and keeps only the radii
-    read here.
+    One mode pass carries every tested angular frequency and keeps only
+    the ladder radii.
     """
     if not m_set:
         raise DomainError("m_set must be nonempty")
     horizon = profile.require_radius(horizon)
     ladder = _ladder(horizon)
-    w_radii = np.geomspace(ladder[0], horizon, 64)
-    ratio_window = (horizon / 10.0, horizon)
-    radii = np.geomspace(ratio_window[0], ratio_window[1], 24)
     m_values = sorted(set(int(m) for m in m_set))
-    mp = mode_pass(profile, [0, *m_values], horizon, rtol=rtol, atol=atol,
-                   radii=np.concatenate((ladder, w_radii, radii)))
+    mp = mode_pass(profile, m_values, horizon, rtol=rtol, atol=atol, radii=ladder)
+    lam, z = mp.lam_z(ladder)     # row k holds |m| = mp.ms[k]; the last is m_ref
+    evidence = tuple(ModeEvidence(m, _increment_verdict(z[mp.ms.index(abs(m))])[0])
+                     for m in m_values)
 
-    def one(m: int) -> ModeEvidence:
-        lam, _, z = mp.all_values(ladder, m)
-        phi_verdict, phi_rho, _ = _increment_verdict(lam)
-        if m == 0:
-            phi_verdict, phi_rho = BOUNDED, 0.0
-        z_verdict, z_rho, _ = _increment_verdict(z)
-        w = mp.inner_ratio(w_radii, m)
-        return ModeEvidence(
-            m=int(m),
-            phi_verdict=phi_verdict,
-            z_verdict=z_verdict,
-            phi_ratio=phi_rho,
-            z_ratio=z_rho,
-            lam_at_horizon=float(lam[-1]),
-            z_at_horizon=float(z[-1]),
-            inner_ratio_max=float(np.max(w)),
-        )
-
-    evidence = tuple(one(m) for m in m_values)
-
-    psi = mp.inner_ratio(radii, 0)
-    slope = float(np.polyfit(np.log(radii), np.log(psi), 1)[0])
-
-    limit = estimate_log_derivative_limit(profile, horizon)
     tail_r = np.geomspace(max(horizon / 100.0, 1.0), horizon, 48)
     v_tail = np.asarray(profile.dlog_phi(tail_r), dtype=float)
     lam_probe = np.asarray(profile.log_phi([horizon / 4.0, horizon]), dtype=float)
@@ -307,12 +222,10 @@ def numeric_evidence(
     )
     return EvidenceBundle(
         horizon=horizon,
+        phi_verdict=_increment_verdict(lam[-1])[0],
         modes=evidence,
-        ratio_slope=slope,
-        ratio_window=ratio_window,
         phi_grows=phi_grows,
         phi_nondecreasing=bool(np.all(v_tail >= -1e-12)),
-        log_derivative=limit,
     )
 
 
@@ -371,16 +284,14 @@ def _declared_labels(curv: CurvatureProfile, horizon, evidence) -> tuple[str, st
 def _numeric_labels(evidence: EvidenceBundle) -> tuple[str, str, list[str]]:
     """(harmonic, biharmonic, notes) from finite-horizon verdicts alone."""
     notes: list[str] = []
-    nonzero = [ev for ev in evidence.modes if ev.m != 0]
-    if not nonzero:
+    if not any(ev.m != 0 for ev in evidence.modes):
         return UNDETERMINED, UNDETERMINED, ["numeric route needs some m != 0"]
-    phi_verdicts = {ev.phi_verdict for ev in nonzero}
     z_verdicts = {ev.z_verdict for ev in evidence.modes}
-    if len(phi_verdicts) != 1 or UNDETERMINED in phi_verdicts:
-        notes.append(f"phi_m verdicts disagree or are undetermined: {sorted(phi_verdicts)}")
+    if evidence.phi_verdict == UNDETERMINED:
+        notes.append("phi_m ladder is undetermined")
         harmonic = UNDETERMINED
     else:
-        harmonic = HYPERBOLIC if phi_verdicts == {BOUNDED} else PARABOLIC
+        harmonic = HYPERBOLIC if evidence.phi_verdict == BOUNDED else PARABOLIC
     if len(z_verdicts) != 1 or UNDETERMINED in z_verdicts:
         notes.append(f"z verdicts disagree or are undetermined: {sorted(z_verdicts)}")
         return harmonic, UNDETERMINED, notes
@@ -518,16 +429,26 @@ def classify_surface(
 # ----------------------------------------------------------------------
 
 def export_report(report: ClassificationReport, txt_path, csv_path) -> None:
-    """Write the key-value report and the per-m evidence CSV."""
+    """Write the key-value report and the per-m evidence CSV.
+
+    ``classification.txt`` holds ``key = value`` lines: the two labels and
+    the ``route`` that set them; the ``horizon``; ``phi_ladder``, the
+    Lambda verdict behind the numeric harmonic label (bounded: hyperbolic);
+    ``phi_grows``, which gates the ``ge_milnor`` tail's labels, and
+    ``phi_nondecreasing``, the ``between`` and ``le_power`` tails'
+    biharmonic label; ``declared_tail`` and ``declared_verified``, whether
+    the declared route may label; ``tail_fit_*``, the fit whose inferred
+    inequality labels instead when no declaration verified; and each
+    ``note``, why a label was withheld. ``evidence.csv`` holds one
+    ``m,z_verdict`` row per tested m; agreeing determinate z verdicts set
+    the numeric biharmonic label.
+    """
     lines = [
         f"harmonic_regime = {report.harmonic_regime}",
         f"biharmonic_regime = {report.biharmonic_regime}",
         f"route = {report.route}",
         f"horizon = {fmt17(report.horizon)}",
-        f"log_derivative_last = {fmt17(report.evidence.log_derivative.last)}",
-        f"log_derivative_extrapolated = {fmt17(report.evidence.log_derivative.extrapolated)}",
-        f"log_derivative_trend = {report.evidence.log_derivative.trend}",
-        f"ratio_slope = {fmt17(report.evidence.ratio_slope)}",
+        f"phi_ladder = {report.evidence.phi_verdict}",
         f"phi_grows = {report.evidence.phi_grows}",
         f"phi_nondecreasing = {report.evidence.phi_nondecreasing}",
         f"declared_tail = {report.declared.kind if report.declared else 'none'}",
@@ -545,8 +466,5 @@ def export_report(report: ClassificationReport, txt_path, csv_path) -> None:
     with open(txt_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    rows = [
-        (ev.m, ev.phi_verdict, ev.z_verdict, float(report.evidence.ratio_slope))
-        for ev in report.evidence.modes
-    ]
-    write_csv(csv_path, ["m", "phi_m_verdict", "z_verdict", "ratio_slope"], rows)
+    write_csv(csv_path, ["m", "z_verdict"],
+              [(ev.m, ev.z_verdict) for ev in report.evidence.modes])

@@ -416,13 +416,13 @@ def _suite_regimes(cfg: RunConfig, out: Path) -> tuple[bool, list[str]]:
         good = report.harmonic_regime == want_h and report.biharmonic_regime == want_b
         ok &= good
         rows.append((surface.name, report.harmonic_regime, report.biharmonic_regime,
-                     report.route, float(report.evidence.ratio_slope)))
+                     report.route))
         lines.append(
             f"regimes: {surface.name} -> ({report.harmonic_regime}, {report.biharmonic_regime}) "
             f"via {report.route} ({'ok' if good else 'FAIL'})"
         )
     write_csv(out / "regime_evidence.csv",
-              ["profile", "harmonic", "biharmonic", "route", "ratio_slope"], rows)
+              ["profile", "harmonic", "biharmonic", "route"], rows)
     return ok, lines
 
 

@@ -175,7 +175,7 @@ class _ModePass:
     LSODA with the same right-hand side, Jacobian and tolerances. A solve
     that stops, or reaches a non-finite state, raises QuadratureError.
 
-    The accessors take the angular frequency m, which may be omitted
+    ``inner_ratio`` takes the angular frequency m, which may be omitted
     when the pass holds only one.
     """
 
@@ -315,12 +315,6 @@ class _ModePass:
     def inner_ratio(self, r, m=None):
         """w(r): the scaled inner integral the growth lemmas are about."""
         return np.exp(self._states(r)[_W + self._index(m)])
-
-    def all_values(self, r, m=None):
-        """(Lambda_m, w_m, z_m) at the radii r."""
-        k = self._index(m)
-        out = self._states(r)
-        return self._lams(out)[k], np.exp(out[_W + k]), out[_W + len(self.ms) + k]
 
     def lam_z(self, r):
         """(Lambda_m, z_m) at the radii r for every |m| in ``ms``, from one read.

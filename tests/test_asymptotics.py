@@ -1,43 +1,16 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import warped_disk as wd
 from warped_disk import asymptotics as asy
-
-
-# ----------------------------------------------------------------------
-# log-derivative limit
-# ----------------------------------------------------------------------
-
-def test_limit_hyperbolic(hyperbolic):
-    est = wd.estimate_log_derivative_limit(hyperbolic.metric, 200.0)
-    assert_allclose(est.last, 1.0, rtol=1e-10)
-    assert_allclose(est.extrapolated, 1.0, rtol=1e-10)
-    assert est.trend in ("decreasing", "flat")
-
-
-def test_limit_flat(euclidean):
-    est = wd.estimate_log_derivative_limit(euclidean.metric, 1000.0)
-    assert est.last == pytest.approx(1e-3)
-    assert abs(est.extrapolated) < 1e-8
-    assert est.trend == "decreasing"
-
-
-def test_limit_interior_threshold(interior_threshold):
-    # curvature above the Milnor bound forces phi'/phi -> 0
-    est = wd.estimate_log_derivative_limit(interior_threshold.metric, 1000.0)
-    assert est.trend == "decreasing"
-    assert abs(est.extrapolated) < 5e-3
-    assert est.last < 0.01
-
-
-def test_limit_quadratic_grows(quadratic1):
-    est = wd.estimate_log_derivative_limit(quadratic1.metric, 500.0)
-    assert est.trend == "increasing"
-    assert est.last > 100.0
+from warped_disk.geometry import _blended_curvature
+from warped_disk.modes import mode_pass
 
 
 # ----------------------------------------------------------------------
@@ -97,40 +70,91 @@ def test_fit_window_validation():
 
 def test_evidence_flat(euclidean):
     bundle = wd.numeric_evidence(euclidean.metric, m_set=(0, 1, 2), horizon=1000.0)
-    by_m = {ev.m: ev for ev in bundle.modes}
-    assert by_m[0].phi_verdict == "bounded"       # Lambda_0 is identically 0
-    assert by_m[1].phi_verdict == "unbounded"
-    assert by_m[2].phi_verdict == "unbounded"
+    assert bundle.phi_verdict == "unbounded"
     assert all(ev.z_verdict == "unbounded" for ev in bundle.modes)
     assert bundle.phi_grows
-    assert_allclose(bundle.ratio_slope, 1.0, atol=0.01)  # s/2 grows linearly
 
 
 def test_evidence_hyperbolic(hyperbolic):
     bundle = wd.numeric_evidence(hyperbolic.metric, m_set=(1,), horizon=1000.0)
-    ev = bundle.mode(1)
-    assert ev.phi_verdict == "bounded"
-    assert ev.z_verdict == "unbounded"
+    assert bundle.phi_verdict == "bounded"
+    assert bundle.mode(1).z_verdict == "unbounded"
 
 
 def test_evidence_power(power1):
     bundle = wd.numeric_evidence(power1.metric, m_set=(1,), horizon=1000.0)
-    ev = bundle.mode(1)
-    assert ev.phi_verdict == "bounded"
-    assert ev.z_verdict == "bounded"
-    # the true decay rate of the mean-integral ratio on a -r^3 tail
-    assert_allclose(bundle.ratio_slope, -1.5, atol=0.1)
+    assert bundle.phi_verdict == "bounded"
+    assert bundle.mode(1).z_verdict == "bounded"
 
 
 def test_evidence_quadratic(quadratic1):
     bundle = wd.numeric_evidence(quadratic1.metric, m_set=(1,), horizon=1000.0)
     assert bundle.mode(1).z_verdict == "unbounded"
-    assert_allclose(bundle.ratio_slope, -1.0, atol=0.1)
 
 
 def test_evidence_needs_m(euclidean):
     with pytest.raises(wd.DomainError):
         wd.numeric_evidence(euclidean.metric, m_set=())
+
+
+def _family(k_tail, r0):
+    """A surface integrated from a blended tail, with no declared tail."""
+    k = _blended_curvature(k_tail, r0)
+    metric = wd.profile_from_curvature(k, r_max=1200.0)
+    return wd.Surface("family", metric, wd.CurvatureProfile(k=np.vectorize(k, otypes=[float])))
+
+
+def _milnor_family(kappa):
+    # K = -kappa/(r^2 log r): Milnor's threshold sits at kappa = 1
+    return _family(lambda r: -kappa / (r * r * math.log(r)), 2.0)
+
+
+def _quadratic_log_family(p):
+    # K = -r^2 (log r)^p: z(inf) < inf exactly when p > 2
+    return _family(lambda r: -r * r * math.log(r) ** p, 3.0)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(partial(wd.builtin_profile, "euclidean"), id="euclidean"),
+    pytest.param(partial(wd.builtin_profile, "hyperbolic"), id="hyperbolic"),
+    pytest.param(partial(wd.builtin_profile, "power-curvature", eps=1.0), id="power"),
+    pytest.param(partial(wd.builtin_profile, "quadratic-curvature", eta=1.0), id="quadratic"),
+    pytest.param(partial(wd.builtin_profile, "log-threshold", eps=0.5), id="log-threshold"),
+    *[pytest.param(partial(_milnor_family, kappa), id=f"kappa={kappa:g}")
+      for kappa in (0.5, 0.9, 1.0, 1.1, 2.0)],
+    *[pytest.param(partial(_quadratic_log_family, p), id=f"p={p:g}") for p in (0, 1, 2, 3, 6)],
+])
+def test_one_lambda_ladder_stands_for_every_m(monkeypatch, build):
+    # Lambda_m = (|m|/m_ref) Lambda_ref, so each Lambda_m row of the pass
+    # gets the verdict the bundle reports for Lambda_ref alone; the
+    # surfaces are the built-ins at the command-line defaults and the two
+    # families on either side of the theory's thresholds
+    passes = []
+
+    def kept_pass(*args, **kwargs):
+        passes.append(mode_pass(*args, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(asy, "mode_pass", kept_pass)
+    bundle = asy.numeric_evidence(build().metric, m_set=range(1, 9), horizon=1000.0)
+    lam, _ = passes[0].lam_z(asy._ladder(1000.0))
+    assert passes[0].ms == tuple(range(1, 9))
+    assert [asy._increment_verdict(row)[0] for row in lam] == [bundle.phi_verdict] * 8
+
+
+# no subnormal increment and no overflowing ratio, so scaling by 2^k is exact
+_SAMPLE = st.floats(-1e100, 1e100).filter(lambda x: x == 0.0 or abs(x) >= 1e-100)
+# increments with ratios near the verdict thresholds reach every verdict
+_NEAR_GEOMETRIC = st.lists(st.floats(0.85, 1.05), min_size=3, max_size=10).map(
+    lambda ratios: np.cumsum(np.cumprod([1.0, *ratios])).tolist())
+
+
+@given(values=st.one_of(st.lists(_SAMPLE, min_size=4, max_size=12).map(sorted),
+                        _NEAR_GEOMETRIC).filter(lambda v: abs(v[-1]) >= 1e-20),
+       k=st.integers(-30, 30))
+def test_increment_verdict_does_not_depend_on_scale(values, k):
+    v = np.array(values)
+    assert asy._increment_verdict(2.0**k * v) == asy._increment_verdict(v)
 
 
 # ----------------------------------------------------------------------
@@ -198,15 +222,12 @@ def test_classify_rejects_other_types(euclidean):
 # ----------------------------------------------------------------------
 
 def _fake_evidence(phi_grows=True, nondecreasing=True):
-    limit = asy.LimitEstimate(0.0, 0.0, "flat", np.array([1.0]), np.array([0.0]))
     return asy.EvidenceBundle(
         horizon=100.0,
+        phi_verdict="bounded",
         modes=(),
-        ratio_slope=0.0,
-        ratio_window=(10.0, 100.0),
         phi_grows=phi_grows,
         phi_nondecreasing=nondecreasing,
-        log_derivative=limit,
     )
 
 
@@ -246,19 +267,22 @@ def test_fit_gap_near_threshold_gives_no_descriptor():
 
 
 def test_mixed_numeric_verdicts_undetermined():
-    modes = (
-        asy.ModeEvidence(1, "bounded", "unbounded", 0.5, 2.0, 1.0, 10.0, 5.0),
-        asy.ModeEvidence(2, "unbounded", "unbounded", 1.0, 2.0, 9.0, 10.0, 5.0),
-    )
-    bundle = asy.EvidenceBundle(
-        horizon=100.0, modes=modes, ratio_slope=0.0, ratio_window=(10.0, 100.0),
-        phi_grows=True, phi_nondecreasing=True,
-        log_derivative=asy.LimitEstimate(0.0, 0.0, "flat", np.array([1.0]), np.array([0.0])),
-    )
-    h, b, _ = asy._numeric_labels(bundle)
-    assert h == wd.UNDETERMINED
+    modes = (asy.ModeEvidence(1, "bounded"), asy.ModeEvidence(2, "unbounded"))
+    bundle = asy.EvidenceBundle(horizon=100.0, phi_verdict="bounded", modes=modes,
+                                phi_grows=True, phi_nondecreasing=True)
+    h, b, notes = asy._numeric_labels(bundle)
+    assert h == wd.HYPERBOLIC
     assert b == wd.UNDETERMINED
+    assert notes == ["z verdicts disagree or are undetermined: ['bounded', 'unbounded']"]
 
+
+
+def test_undetermined_lambda_ladder_leaves_harmonic_undetermined():
+    modes = (asy.ModeEvidence(1, "unbounded"), asy.ModeEvidence(2, "unbounded"))
+    bundle = asy.EvidenceBundle(horizon=100.0, phi_verdict="undetermined", modes=modes,
+                                phi_grows=True, phi_nondecreasing=True)
+    assert asy._numeric_labels(bundle) == (wd.UNDETERMINED, wd.UNDETERMINED,
+                                           ["phi_m ladder is undetermined"])
 
 # ----------------------------------------------------------------------
 # report export
@@ -272,6 +296,7 @@ def test_export_report(tmp_path, euclidean):
     text = txt.read_text()
     assert "harmonic_regime = parabolic" in text
     assert "biharmonic_regime = rigid" in text
+    assert "phi_ladder = unbounded" in text
     lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "m,phi_m_verdict,z_verdict,ratio_slope"
+    assert lines[0] == "m,z_verdict"
     assert len(lines) == 3

@@ -31,7 +31,7 @@ def forward_spectrum(metric, radius, m_max, c, d):
     passes = {m: mode_pass(metric, m, radius, rtol=1e-12, atol=1e-14)
               for m in range(m_max + 1)}
     for i, m in enumerate(range(-m_max, m_max + 1)):
-        lam, _, z = passes[abs(m)].all_values(np.array([radius]))
+        lam, z = (a[0] for a in passes[abs(m)].lam_z(np.array([radius])))
         phi_m = math.exp(lam[0])
         alpha[i] = c[i] * phi_m + d[i] * z[0] * phi_m
         beta[i] = d[i] * phi_m
@@ -385,7 +385,7 @@ def test_evaluate_against_dense_synthesis(hyperbolic):
         value = wd.evaluate_solution(hyperbolic.metric, coeffs, r, theta)
         exact = 0.0j
         for i, m in enumerate(range(-m_max, m_max + 1)):
-            lam, _, z = passes[abs(m)].all_values(np.array([max(r, 2.1e-5)]))
+            lam, z = (a[0] for a in passes[abs(m)].lam_z(np.array([max(r, 2.1e-5)])))
             exact += (c[i] + d[i] * z[0]) * np.exp(lam[0]) * np.exp(1j * m * theta)
         assert abs(value - exact) < 1e-8
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -206,3 +207,15 @@ def test_stencil_suite_catches_the_injected_fault(tmp_path):
     assert not ok
     failed = [line for line in lines if line.endswith("(FAIL)")]
     assert failed and all("euclidean(faulted)" in line for line in failed)
+
+
+def test_bvp_on_a_profile_whose_phi_overflows_warns_nothing(tmp_path):
+    # on power-curvature with eps = 2, phi overflows doubles well inside R = 20
+    theta = 2.0 * math.pi * np.arange(16) / 16
+    bvp.write_trace_csv(tmp_path / "trace.csv",
+                        bvp.BoundaryTrace(20.0, np.cos(theta), np.zeros_like(theta)))
+    argv = ["bvp", "--profile", "power-curvature", "--eps", "2", "--radius", "20",
+            str(tmp_path / "trace.csv"), "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == cli.EXIT_OK

@@ -3,14 +3,15 @@
     PYTHONPATH=src python tools/solver_work.py [REPEATS]
 
 Runs ``asymptotics.numeric_evidence`` as ``warped-disk classify`` does at
-its defaults (m = 1..8 beside m = 0, horizon 1000, built-ins valid to
-r = 1200) and records what the mode pass's LSODA did. A pass through
-``odeint`` reports ``nfe``, ``nje`` and ``nst``; one through
-``solve_ivp`` reports ``nfev``, ``njev`` and the steps of its dense
-solution. Both are LSODA's own counters, so the two solvers compare one
-to one, across versions of the package too. Per surface it also records
-the evidence values at the horizon and the least in-process time of
-REPEATS (default 5) calls.
+its defaults (m = 1..8, horizon 1000, built-ins valid to r = 1200) and
+records what the mode pass's LSODA did. A pass through ``odeint``
+reports ``nfe``, ``nje`` and ``nst``; one through ``solve_ivp`` reports
+``nfev``, ``njev`` and the steps of its dense solution. Both are LSODA's
+own counters, so the two solvers compare one to one, across versions of
+the package too. Per surface it also records the Lambda verdict, the z
+verdict of each m and the least in-process time of REPEATS (default 5)
+calls. A version whose evidence holds a Lambda verdict per m (rather
+than one for all m) reports that list under ``phi_verdict``.
 """
 
 from __future__ import annotations
@@ -74,10 +75,9 @@ def main(argv=None) -> int:
         out[name] = {
             "numeric_evidence_s": best,
             "solves": record,
-            "ratio_slope": ev.ratio_slope,
-            "lam_at_horizon": [m.lam_at_horizon for m in ev.modes],
-            "z_at_horizon": [m.z_at_horizon for m in ev.modes],
-            "verdicts": [[m.phi_verdict, m.z_verdict] for m in ev.modes],
+            "phi_verdict": getattr(ev, "phi_verdict", None)
+            or [m.phi_verdict for m in ev.modes if m.m != 0],
+            "z_verdicts": {m.m: m.z_verdict for m in ev.modes},
         }
     json.dump(out, sys.stdout, indent=1)
     print()
