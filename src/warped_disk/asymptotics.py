@@ -202,24 +202,27 @@ def numeric_evidence(
     """Doubling-ladder boundedness verdicts for Lambda and for z of each m.
 
     One mode pass carries every tested angular frequency and keeps only
-    the ladder radii.
+    the ladder radii and the profile probes, whose rows it integrates
+    itself: phi'/phi at 48 radii over the last two decades below the
+    horizon (``phi_nondecreasing``) and log phi at horizon/4 and at the
+    horizon (``phi_grows``).
     """
     if not m_set:
         raise DomainError("m_set must be nonempty")
     horizon = profile.require_radius(horizon)
     ladder = _ladder(horizon)
+    tail_r = np.geomspace(max(horizon / 100.0, 1.0), horizon, 48)
+    probe_r = np.array([horizon / 4.0, horizon])
     m_values = sorted(set(int(m) for m in m_set))
-    mp = mode_pass(profile, m_values, horizon, rtol=rtol, atol=atol, radii=ladder)
+    mp = mode_pass(profile, m_values, horizon, rtol=rtol, atol=atol,
+                   radii=np.concatenate((ladder, tail_r, probe_r)))
     lam, z = mp.lam_z(ladder)     # row k holds |m| = mp.ms[k]; the last is m_ref
     evidence = tuple(ModeEvidence(m, _increment_verdict(z[mp.ms.index(abs(m))])[0])
                      for m in m_values)
 
-    tail_r = np.geomspace(max(horizon / 100.0, 1.0), horizon, 48)
-    v_tail = np.asarray(profile.dlog_phi(tail_r), dtype=float)
-    lam_probe = np.asarray(profile.log_phi([horizon / 4.0, horizon]), dtype=float)
-    phi_grows = bool(lam_probe[1] > lam_probe[0] + 1e-9) and bool(
-        lam_probe[1] > math.log(10.0)
-    )
+    _, v_tail = mp.profile_rows(tail_r)
+    log_phi, _ = mp.profile_rows(probe_r)
+    phi_grows = bool(log_phi[1] > log_phi[0] + 1e-9) and bool(log_phi[1] > math.log(10.0))
     return EvidenceBundle(
         horizon=horizon,
         phi_verdict=_increment_verdict(lam[-1])[0],

@@ -28,7 +28,7 @@ import numpy as np
 from ._util import write_csv
 from .errors import AliasingWarning, DomainError
 from .geometry import MetricProfile, RadialGrid
-from .modes import DEFAULT_ATOL, DEFAULT_RTOL, mode_pass
+from .modes import DEFAULT_ATOL, DEFAULT_RTOL, mode_pass, profile_residual
 from .operators import sample_derivatives  # noqa: F401 -- patched by benchmarks/tracing.py
 from .operators import separated_laplacian
 
@@ -229,7 +229,8 @@ class ModeCoefficients:
     which depends on |m| only.
 
     The radial factors come from one dense mode pass over |m| = 0 .. m_max
-    on (t0, R], which evaluation and verification read directly.
+    on (t0, R], which evaluation and verification read directly;
+    verification also reads the profile rows that pass integrated.
     """
 
     radius: float
@@ -333,19 +334,30 @@ class DiskResidualReport:
     ``interior_max``/``interior_rms`` cover the scaled per-mode residual
     |L_m F_m - d_m phi_m| / max over the grid of (1, |F_m|), where
     F_m = c_m phi_m + d_m psi_m. Boundary errors are sup-norm bounds
-    from the coefficient mismatch at r = R.
+    from the coefficient mismatch at r = R. ``profile`` is
+    max |v' + v^2 + K| / max(1, v^2, |K|) over the interior nodes for the
+    profile rows v = phi'/phi the residuals were computed with.
     """
 
     interior_max: float
     interior_rms: float
     boundary_u_error: float
     boundary_lap_error: float
+    profile: float
 
 
 def verify_disk_solution(
     profile: MetricProfile, coeffs: ModeCoefficients, grid: RadialGrid
 ) -> DiskResidualReport:
-    """Apply the radial stencils to every mode at once and re-check the boundary."""
+    """Apply the radial stencils to every mode at once and re-check the boundary.
+
+    L_m is applied with the profile rows of the solve's own dense pass
+    (``profile_rows``), phi formed as r exp(log(phi/r)); no profile
+    evaluator is read. Those rows are checked against ``profile.k`` at
+    the grid nodes as ``verify_mode_residuals`` checks a mode's, so a
+    solution checked against another surface's K fails that check. The
+    grid must start at or beyond the pass's start t0.
+    """
     x = grid.nodes
     if x[0] <= 0.0:
         raise DomainError("verification grid must stay inside (0, R]")
@@ -353,9 +365,9 @@ def verify_disk_solution(
         raise DomainError("verification grid extends beyond the disk")
     spectrum = coeffs.spectrum
     mp = coeffs._modes
-    v = np.asarray(profile.dlog_phi(x), dtype=float)
+    log_phi, v = mp.profile_rows(x)
     with np.errstate(over="ignore"):  # separated_laplacian maps phi = inf to its limit
-        phi = np.asarray(profile.phi(x), dtype=float)
+        phi = x * np.exp(log_phi - np.log(x))
     m = spectrum.m_values
     am = np.abs(m)
     lam, z = (arr[am] for arr in mp.lam_z(x))
@@ -378,6 +390,7 @@ def verify_disk_solution(
         interior_rms=math.sqrt(float(np.cumsum(np.sum(scaled**2, axis=1))[-1]) / scaled.size),
         boundary_u_error=bu,
         boundary_lap_error=bl,
+        profile=profile_residual(profile, x, v),
     )
 
 

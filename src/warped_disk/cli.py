@@ -255,6 +255,7 @@ def cmd_bvp(cfg: RunConfig, trace_path: str) -> int:
         f"boundary_lap_reproduction = {fmt17(report.boundary_lap_error)}",
         f"interior_residual_max = {fmt17(report.interior_max)}",
         f"interior_residual_rms = {fmt17(report.interior_rms)}",
+        f"profile_residual_max = {fmt17(report.profile)}",
         f"underflow_flagged = {int(np.sum(coeffs.underflow))}",
     ]
     (out / "bvp_report.txt").write_text("\n".join(lines) + "\n")

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ._util import read_key_values
 from ._util import write_csv  # noqa: F401 -- patched by benchmarks/tracing.py
@@ -201,11 +200,12 @@ class MetricProfile:
     ``k`` is the Gaussian curvature K(r) = -phi''/phi of one float r, as
     a float (no numpy, so a right-hand side can call it every step). The
     mode passes integrate phi from it together with the modes and read
-    none of the four evaluators, and the mode residual checks read the
-    passes' own profile rows. The evaluators remain for the other
-    one-off array reads (evidence probes, the disk residual check,
-    origin and round-trip checks). A profile without ``k`` serves only
-    those reads; mode passes refuse it.
+    none of the four evaluators; the evidence probes and both residual
+    checks read the passes' own profile rows. So ``classify``, ``modes``
+    and ``bvp`` read no evaluator. They remain for the ``verify`` suites
+    (the stencil suite's phi'' consistency check and the round trip)
+    and for explicit reads by library callers. A profile without ``k``
+    serves only those reads; mode passes refuse it.
 
     The evaluators of a curvature-integrated built-in solve the profile
     when one of them is first read and reuse that solve after (see
@@ -277,6 +277,17 @@ def _check_curvature_ivp(k_fn: Callable, r_max: float,
     if not np.all(np.isfinite(kp)):
         raise DomainError("curvature is not finite on (0, r_max]")
     return rtol, atol
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported at the first call.
+
+    Importing ``scipy.integrate`` costs more than most commands take, and
+    only ``profile_from_curvature`` needs it (for its collapse event), so
+    the commands that never integrate a profile never import it.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def profile_from_curvature(

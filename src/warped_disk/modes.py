@@ -14,12 +14,13 @@ and phi_2m = exp(2 Lambda_m). On surfaces with steeply negative
 curvature, phi and the inner integral overflow doubles long before the
 quantities of interest do, so everything is accumulated in scaled form:
 the integration state is (Lambda, log w, z), advanced by LSODA, an
-adaptive stiff-capable integrator. A pass yields one of two products.
+adaptive stiff-capable integrator, run from scipy's compiled ODEPACK
+extension through ``_lsoda``. A pass yields one of two products.
 Callers that name their radii (``biharmonic_mode`` at its grid nodes,
-the evidence ladder of ``asymptotics``) get the states at exactly those
-radii from one ``odeint`` call, which steps in compiled code from one
-radius to the next. Only the disk problem, whose solution is read at
-arbitrary points, gets a dense solution from ``solve_ivp``.
+the evidence ladder and profile probes of ``asymptotics``) get the
+states at exactly those radii from one compiled call, which steps from
+one radius to the next. The disk problem, whose solution is read at
+arbitrary points, gets a dense pass that keeps each step's interpolant.
 The same solve integrates the profile itself, as log(phi/r) and
 phi'/phi - 1/r, from the curvature K(r) of ``MetricProfile.k``: each
 step evaluates K once and reads no profile interpolant, and each pass
@@ -31,26 +32,30 @@ it twice, the gap bounding the error.
 The inner ratio w is exactly the quantity whose growth or decay drives
 the Liouville-type dichotomies, so it is exposed alongside the modes.
 
-``biharmonic_mode`` keeps the tight pass's profile rows at its grid
-nodes, as log phi and phi'/phi, beside the modes. ``verify_mode_residuals``
-differences the modes against those rows and checks the rows against
-K(r) through the Riccati equation (phi'/phi)' + (phi'/phi)^2 + K = 0, so
-neither check reads a profile interpolant, and ``modes`` on a built-in
-surface solves no profile apart from its mode passes.
+Every caller reads the profile from its own pass, as log phi and
+phi'/phi (``profile_rows``): ``biharmonic_mode`` keeps the tight pass's
+rows at its grid nodes beside the modes, ``numeric_evidence`` reads its
+probes from the classify pass, and ``verify_disk_solution`` its grid from
+the dense disk pass. The residual checks difference against those rows
+and check the rows against K(r) through the Riccati equation
+(phi'/phi)' + (phi'/phi)^2 + K = 0 (``profile_residual``). So of the
+commands only ``verify`` reads a profile interpolant, and ``classify``,
+``modes`` and ``bvp`` on a built-in surface solve no profile apart from
+their mode passes.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import ODEintWarning, odeint, solve_ivp
 
+from . import _lsoda
 from ._util import write_csv
 from .errors import DomainError, QuadratureError
 from .geometry import MetricProfile, RadialGrid
+from .geometry import solve_ivp  # noqa: F401 -- patched by benchmarks/tracing.py
 from .operators import sample_derivatives, separated_laplacian
 
 __all__ = [
@@ -58,6 +63,7 @@ __all__ = [
     "ResidualReport",
     "biharmonic_mode",
     "verify_mode_residuals",
+    "profile_residual",
     "export_mode_csv",
 ]
 
@@ -125,11 +131,6 @@ class BiharmonicMode:
 _LAM = 2
 _W = 3
 
-# odeint's per-call step cap, 500 by default; solve_ivp has none, and
-# between two far-apart radii a long pass needs more
-_MXSTEP = 1_000_000_000
-_ODEINT_SUCCESS = "Integration successful."
-
 
 def _require_finite(t, states, what):
     """Raise at the first radius of ``t`` whose state column is not finite.
@@ -167,13 +168,14 @@ class _ModePass:
     shift. The mode seed uses phi(t) ~ t on [0, t0]: the inner integrand
     behaves like t^(1+2|m|), so w(t0) = t0/(2+2|m|) and z(t0) = t0^2/(4+4|m|).
 
-    Given ``radii`` (in (t0, r_end], any order), one ``odeint`` call
-    steps from each radius to the next and keeps the states there and at
-    r = 1; any subset of those radii reads back exactly, and any other
-    radius is refused. Without ``radii`` the pass keeps ``solve_ivp``'s
-    dense solution, readable anywhere in [t0, r_end]. Both drive the same
-    LSODA with the same right-hand side, Jacobian and tolerances. A solve
-    that stops, or reaches a non-finite state, raises QuadratureError.
+    Given ``radii`` (in (t0, r_end], any order), one compiled call
+    (``_lsoda.at_radii``) steps from each radius to the next and keeps
+    the states there and at r = 1; any subset of those radii reads back
+    exactly, and any other radius is refused. Without ``radii`` the pass
+    keeps a dense solution (``_lsoda.dense``), readable anywhere in
+    [t0, r_end]. Both drive the same LSODA with the same right-hand side,
+    Jacobian and tolerances. A solve that stops, or reaches a non-finite
+    state, raises QuadratureError.
 
     ``inner_ratio`` takes the angular frequency m, which may be omitted
     when the pass holds only one.
@@ -249,41 +251,24 @@ class _ModePass:
         span_end = max(r_end, 1.0)  # Lambda is anchored at r = 1
         rtol = max(rtol, 1e-13)     # below this the solver clamps anyway
         what = f"mode quadrature for m={', '.join(map(str, ms))}"
-        if radii is None:
-            self._radii = None
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                sol = solve_ivp(rhs, (t0, span_end), y0, method="LSODA",
-                                rtol=rtol, atol=atol, jac=jac, dense_output=True)
-            if sol.status != 0:
-                # LSODA states its reason only in a warning; the error carries it
-                reason = "; ".join(str(w.message) for w in caught) or sol.message
-                raise QuadratureError(f"{what} stopped: {reason}",
-                                      worst_interval=(float(sol.t[-1]), span_end))
-            for w in caught:
-                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-            _require_finite(sol.t, sol.y, what)
-            self._sol = sol.sol
-            # raw Lambda_ref at r = 1, the shift that normalizes phi_m(1) = 1
-            self.lam_at_one = float(sol.sol(1.0)[_LAM])
-            return
-        self._sol = None
-        self._radii = np.union1d(np.asarray(radii, dtype=float), 1.0)
-        if not (self._radii[0] > t0 and self._radii[-1] <= span_end):
-            raise DomainError(f"mode values only available on ({t0:g}, {span_end:g}]")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ODEintWarning)
-            ys, info = odeint(rhs, y0, np.concatenate(([t0], self._radii)), Dfun=jac,
-                              rtol=rtol, atol=atol, tcrit=[span_end], mxstep=_MXSTEP,
-                              full_output=True, tfirst=True)
-        if info["message"] != _ODEINT_SUCCESS:
-            # tcur holds the radius reached for each output up to the failed one
-            reached = float(info["tcur"][np.argmin(info["tcur"] >= self._radii)])
-            raise QuadratureError(f"{what} stopped: {info['message']}",
-                                  worst_interval=(reached, span_end))
-        self._samples = ys[1:].T
-        _require_finite(self._radii, self._samples, what)
-        self.lam_at_one = float(self._samples[_LAM, np.searchsorted(self._radii, 1.0)])
+        self._radii = None
+        if radii is not None:
+            self._radii = np.union1d(np.asarray(radii, dtype=float), 1.0)
+            if not (self._radii[0] > t0 and self._radii[-1] <= span_end):
+                raise DomainError(f"mode values only available on ({t0:g}, {span_end:g}]")
+        try:
+            if radii is None:
+                sol = _lsoda.dense(rhs, jac, y0, t0, span_end, rtol, atol)
+            else:
+                sol = _lsoda.at_radii(rhs, jac, y0, np.concatenate(([t0], self._radii)),
+                                      rtol, atol, tcrit=span_end)
+        except _lsoda.Stopped as exc:
+            raise QuadratureError(f"{what} stopped: {exc.message}",
+                                  worst_interval=(exc.reached, span_end)) from None
+        _require_finite(sol.t, sol.y, what)
+        self._sol = sol
+        # raw Lambda_ref at r = 1, the shift that normalizes phi_m(1) = 1
+        self.lam_at_one = float(self._states(1.0)[_LAM])
 
     def _index(self, m) -> int:
         if m is None:
@@ -297,11 +282,11 @@ class _ModePass:
 
     def _states(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        if self._sol is None:
+        if self._radii is not None:
             i = np.minimum(np.searchsorted(self._radii, r), self._radii.size - 1)
             if np.any(self._radii[i] != r):
                 raise DomainError("this pass holds values only at the radii it was solved for")
-            return self._samples[:, i]
+            return self._sol.y[:, i]
         if np.any(r < self.t0 * (1.0 - 1e-12)):
             raise DomainError(f"mode values only available for r >= {self.t0:g}")
         return self._sol(np.maximum(r, self.t0))
@@ -468,9 +453,6 @@ def verify_mode_residuals(profile: MetricProfile, mode: BiharmonicMode) -> Resid
     x = mode.grid.nodes
     if x.size < 5:
         raise DomainError("residual verification needs at least five nodes")
-    if profile.k is None:
-        raise DomainError("residual verification checks the profile against its "
-                          "curvature; this profile has no scalar K(r) (MetricProfile.k)")
     v, log_phi = mode.dlog_phi, mode.log_phi
     phi_m = np.exp(np.minimum(mode.lam, 700.0))
     log_f = np.stack([mode.lam, mode.log_psi])   # log phi_m, log psi_m
@@ -491,12 +473,25 @@ def verify_mode_residuals(profile: MetricProfile, mode: BiharmonicMode) -> Resid
         res[~linear] = (np.abs(f_over_phi * ratio - np.array([[0.0], [1.0]])[~linear])
                         * np.minimum(phi_m, 1.0))
     worst = np.max(res[:, 1:-1], axis=1)
+    return ResidualReport(harmonic=float(worst[0]), biharmonic=float(worst[1]),
+                          profile=profile_residual(profile, x, v))
+
+
+def profile_residual(profile: MetricProfile, x: np.ndarray, v: np.ndarray) -> float:
+    """max |v' + v^2 + K| / max(1, v^2, |K|) over the interior nodes x.
+
+    v holds phi'/phi at the nodes as a pass integrated it; v' is
+    differenced from those rows and K read from ``profile.k``. Since
+    phi'' = -K phi gives v' + v^2 + K = 0, rows checked against another
+    surface's K fail, whatever pass produced them.
+    """
+    if profile.k is None:
+        raise DomainError("residual verification checks the profile against its "
+                          "curvature; this profile has no scalar K(r) (MetricProfile.k)")
     k = np.array([profile.k(r) for r in x.tolist()], dtype=float)
     dv, _ = sample_derivatives(x, v)
-    riccati = (np.abs(dv + v * v + k)
-               / np.maximum(np.maximum(1.0, v * v), np.abs(k)))[1:-1]
-    return ResidualReport(harmonic=float(worst[0]), biharmonic=float(worst[1]),
-                          profile=float(np.max(riccati)))
+    riccati = np.abs(dv + v * v + k) / np.maximum(np.maximum(1.0, v * v), np.abs(k))
+    return float(np.max(riccati[1:-1]))
 
 
 # ----------------------------------------------------------------------

@@ -228,11 +228,14 @@ def test_solve_and_boundary_check_equal_the_per_mode_formulas(hyperbolic):
     assert (report.boundary_u_error, report.boundary_lap_error) == (bu, bl)
 
 
-def _per_mode_interior_residuals(profile, coeffs, grid):
-    """interior_max and interior_rms as one stencil call per mode computes them."""
+def _per_mode_interior_residuals(coeffs, grid):
+    """interior_max and interior_rms as one stencil call per mode computes them.
+
+    The profile comes from the solve's own pass rows, phi as r exp(log(phi/r)).
+    """
     x = grid.nodes
-    v = np.asarray(profile.dlog_phi(x), dtype=float)
-    phi = np.asarray(profile.phi(x), dtype=float)
+    log_phi, v = coeffs._modes.profile_rows(x)
+    phi = x * np.exp(log_phi - np.log(x))
     lam, z = coeffs._modes.lam_z(x)
     m_max = coeffs.spectrum.m_max
     worst = 0.0
@@ -274,8 +277,24 @@ def test_interior_check_equals_the_per_mode_loop(request, surface, kind):
     coeffs = wd.solve_disk_biharmonic(metric, radius, spec)
     grid = RadialGrid.geometric(radius * 1e-3, radius, 257)
     report = wd.verify_disk_solution(metric, coeffs, grid)
-    expected = _per_mode_interior_residuals(metric, coeffs, grid)
+    expected = _per_mode_interior_residuals(coeffs, grid)
     assert (report.interior_max, report.interior_rms) == expected
+
+
+def test_profile_residual_catches_another_surfaces_curvature(power1):
+    # the residuals use the solve's own profile rows; checked against
+    # another surface's K, those rows fail the Riccati check
+    power2 = wd.builtin_profile("power-curvature", eps=2.0, r_max=power1.metric.r_max)
+    alpha = np.zeros(17, dtype=complex)
+    alpha[8] = alpha[9] = 1.0
+    coeffs = wd.solve_disk_biharmonic(power1.metric, 3.0, spectrum_from_arrays(8, alpha, alpha))
+    grid = RadialGrid.geometric(3e-3, 3.0, 257)
+    matched = wd.verify_disk_solution(power1.metric, coeffs, grid)
+    foreign = wd.verify_disk_solution(power2.metric, coeffs, grid)
+    assert matched.profile < 1e-2
+    assert foreign.profile >= 100.0 * matched.profile
+    assert (foreign.interior_max, foreign.interior_rms) == (matched.interior_max,
+                                                            matched.interior_rms)
 
 
 def test_solve_flags_underflow():

@@ -1,5 +1,10 @@
+import ast
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +31,72 @@ def test_modes_on_a_curved_builtin_solves_no_curvature_ivp(tmp_path, monkeypatch
         assert all(math.isfinite(float(v)) for v in fields[1:4])
 
 
+def _trace_file(tmp_path):
+    """A 64-sample trace on the circle of radius 3; returns its path."""
+    theta = 2.0 * math.pi * np.arange(64) / 64
+    trace = bvp.BoundaryTrace(3.0, np.cos(theta) + 0.5 * np.sin(2.0 * theta),
+                              0.25 - np.cos(theta))
+    bvp.write_trace_csv(tmp_path / "trace.csv", trace)
+    return str(tmp_path / "trace.csv")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["classify", "--profile", "power-curvature", "--eps", "1"], id="classify_power"),
+    pytest.param(["classify", "--profile", "quadratic-curvature", "--eta", "1"],
+                 id="classify_quadratic"),
+    pytest.param(["classify", "--profile", "log-threshold", "--eps", "0.5"],
+                 id="classify_log_threshold"),
+    pytest.param(["bvp", *POWER, "--radius", "3"], id="bvp_power"),
+])
+def test_classify_and_bvp_on_curved_builtins_solve_no_curvature_ivp(tmp_path, monkeypatch,
+                                                                    argv):
+    # both read the profile from their own mode pass, never an evaluator
+    calls = []
+    monkeypatch.setattr(geometry, "solve_ivp", lambda *a, **k: calls.append(a))
+    if argv[0] == "bvp":
+        argv = [*argv, _trace_file(tmp_path)]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert calls == []
+
+
+_LOADED_SCIPY = """
+import sys
+from pathlib import Path
+import warped_disk.cli as cli
+out = Path(sys.argv[1])
+loaded = {"import": sorted(name for name in NAMES if name in sys.modules)}
+runs = {f"classify_{name}": ["classify", "--profile", name, *params]
+        for name, params in (("euclidean", []), ("hyperbolic", []),
+                             ("power-curvature", ["--eps", "1"]),
+                             ("quadratic-curvature", ["--eta", "1"]),
+                             ("log-threshold", ["--eps", "0.5"]))}
+runs["modes"] = ["modes", "--profile", "power-curvature", "--eps", "1", "--horizon", "5",
+                 "--mmax", "2", "--grid", "geometric,1e-3,64"]
+runs["bvp"] = ["bvp", "--profile", "power-curvature", "--eps", "1", "--radius", "3",
+               str(out / "trace.csv")]
+for label, argv in runs.items():
+    assert cli.main([*argv, "--out", str(out / label)]) == 0, label
+    loaded[label] = sorted(name for name in NAMES if name in sys.modules)
+print(loaded, file=sys.stderr)
+"""
+
+
+def test_no_command_loads_scipy_integrate_special_or_optimize(tmp_path):
+    # the mode passes run LSODA from the compiled extension alone; the
+    # scipy subpackages that scipy.integrate would pull in stay unloaded
+    _trace_file(tmp_path)
+    names = ("scipy.integrate", "scipy.special", "scipy.optimize")
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", f"NAMES = {names!r}\n{_LOADED_SCIPY}",
+                           str(tmp_path)], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = ast.literal_eval(proc.stderr.strip().splitlines()[-1])
+    assert len(loaded) == 8
+    assert loaded == {label: [] for label in loaded}
+
+
 def test_verify_infeasible_tolerance_has_its_own_exit_code(tmp_path):
     assert cli.EXIT_INFEASIBLE != cli.EXIT_UNDETERMINED
     code = cli.main(["verify", "--tol", "1e-20,1e-20", "--out", str(tmp_path)])
@@ -44,11 +115,7 @@ def test_verify_infeasible_tolerance_has_its_own_exit_code(tmp_path):
 ])
 def test_outputs_are_byte_identical_across_runs(tmp_path, argv, names):
     if argv[0] == "bvp":
-        theta = 2.0 * math.pi * np.arange(64) / 64
-        trace = bvp.BoundaryTrace(3.0, np.cos(theta) + 0.5 * np.sin(2.0 * theta),
-                                  0.25 - np.cos(theta))
-        bvp.write_trace_csv(tmp_path / "trace.csv", trace)
-        argv = [*argv, str(tmp_path / "trace.csv")]
+        argv = [*argv, _trace_file(tmp_path)]
     for run in ("a", "b"):
         assert cli.main(argv + ["--out", str(tmp_path / run)]) == cli.EXIT_OK
     for name in names:

@@ -1,17 +1,20 @@
-"""Solver work of the ``classify`` mode pass on each built-in, as JSON.
+"""Solver work of the ``classify`` and ``bvp`` mode passes on each built-in, as JSON.
 
     PYTHONPATH=src python tools/solver_work.py [REPEATS]
 
 Runs ``asymptotics.numeric_evidence`` as ``warped-disk classify`` does at
-its defaults (m = 1..8, horizon 1000, built-ins valid to r = 1200) and
-records what the mode pass's LSODA did. A pass through ``odeint``
-reports ``nfe``, ``nje`` and ``nst``; one through ``solve_ivp`` reports
-``nfev``, ``njev`` and the steps of its dense solution. Both are LSODA's
-own counters, so the two solvers compare one to one, across versions of
-the package too. Per surface it also records the Lambda verdict, the z
-verdict of each m and the least in-process time of REPEATS (default 5)
-calls. A version whose evidence holds a Lambda verdict per m (rather
-than one for all m) reports that list under ``phi_verdict``.
+its defaults (m = 1..8, horizon 1000, built-ins valid to r = 1200), and
+``bvp.solve_disk_biharmonic`` as ``warped-disk bvp`` does on a disk of
+radius 3 with |m| <= 8, and records what LSODA did in each pass: its
+steps (``nst``), right-hand-side calls (``nfe``) and Jacobians (``nje``).
+These are LSODA's own counters, so versions of the package compare one
+to one. A version with ``warped_disk._lsoda`` reports them from its
+solutions; an older one from the ``odeint`` and ``solve_ivp`` calls in
+``modes`` (a ``solve_ivp`` pass counts the steps of its dense solution).
+A ``named_radii`` pass keeps the states at the radii its caller reads, a
+``dense`` pass is readable anywhere. Per surface it also records the
+Lambda verdict, the z verdict of each m and the least in-process time of
+REPEATS (default 5) classify passes.
 """
 
 from __future__ import annotations
@@ -20,36 +23,48 @@ import json
 import sys
 from time import perf_counter
 
+import numpy as np
+
 import warped_disk as wd
-from warped_disk import asymptotics, modes
+from warped_disk import asymptotics, bvp, modes
 
 SURFACES = (("euclidean", {}), ("hyperbolic", {}), ("power-curvature", {"eps": 1.0}),
             ("quadratic-curvature", {"eta": 1.0}), ("log-threshold", {"eps": 0.5}))
 M_SET = tuple(range(1, 9))
 HORIZON = 1000.0
+DISK_RADIUS, DISK_M = 3.0, 8
 
 
-def _counting(record: list):
-    """Wrap the solvers ``modes`` looks up so each solve appends its counters."""
-    solve_ivp = modes.solve_ivp
+def _count(kind: str, record: list, solver, counters):
+    def counted(*args, **kwargs):
+        out = solver(*args, **kwargs)
+        record.append({"pass": kind, **dict(zip(("nst", "nfe", "nje"), map(int, counters(out))))})
+        return out
+    return counted
 
-    def counted_solve_ivp(*args, **kwargs):
-        res = solve_ivp(*args, **kwargs)
-        record.append({"solver": "solve_ivp", "rhs": int(res.nfev), "jac": int(res.njev),
-                       "steps": len(res.t) - 1})
-        return res
 
-    modes.solve_ivp = counted_solve_ivp
-    if hasattr(modes, "odeint"):
-        odeint = modes.odeint
+def _counting(record: list) -> list:
+    """Wrap the LSODA drivers so each pass appends its counters; returns what to restore."""
+    lsoda = getattr(modes, "_lsoda", None)
+    if lsoda is not None:
+        patches = [(lsoda, "at_radii", "named_radii"), (lsoda, "dense", "dense")]
+        counters = lambda sol: (sol.nst, sol.nfe, sol.nje)  # noqa: E731
+        wraps = [counters, counters]
+    else:
+        patches = [(modes, "odeint", "named_radii"), (modes, "solve_ivp", "dense")]
+        wraps = [lambda out: (out[1]["nst"][-1], out[1]["nfe"][-1], out[1]["nje"][-1]),
+                 lambda res: (len(res.t) - 1, res.nfev, res.njev)]
+    saved = []
+    for (module, name, kind), counters in zip(patches, wraps):
+        saved.append((module, name, getattr(module, name)))
+        setattr(module, name, _count(kind, record, getattr(module, name), counters))
+    return saved
 
-        def counted_odeint(*args, **kwargs):
-            ys, info = odeint(*args, **kwargs)
-            record.append({"solver": "odeint", "rhs": int(info["nfe"][-1]),
-                           "jac": int(info["nje"][-1]), "steps": int(info["nst"][-1])})
-            return ys, info
 
-        modes.odeint = counted_odeint
+def _disk_spectrum() -> bvp.FourierSpectrum:
+    size = 2 * DISK_M + 1
+    return bvp.FourierSpectrum(m_max=DISK_M, alpha=np.ones(size), beta=np.ones(size),
+                               truncation_energy=(0.0, 0.0), real_valued=False)
 
 
 def main(argv=None) -> int:
@@ -63,20 +78,25 @@ def main(argv=None) -> int:
             t = perf_counter()
             asymptotics.numeric_evidence(metric, m_set=M_SET, horizon=HORIZON)
             best = min(best, perf_counter() - t)
-        record: list = []
-        saved = modes.solve_ivp, getattr(modes, "odeint", None)
-        _counting(record)
+        classify: list = []
+        disk: list = []
+        saved = _counting(classify)
         try:
             ev = asymptotics.numeric_evidence(metric, m_set=M_SET, horizon=HORIZON)
         finally:
-            modes.solve_ivp = saved[0]
-            if saved[1] is not None:
-                modes.odeint = saved[1]
+            for module, attr, original in saved:
+                setattr(module, attr, original)
+        saved = _counting(disk)
+        try:
+            bvp.solve_disk_biharmonic(metric, DISK_RADIUS, _disk_spectrum())
+        finally:
+            for module, attr, original in saved:
+                setattr(module, attr, original)
         out[name] = {
             "numeric_evidence_s": best,
-            "solves": record,
-            "phi_verdict": getattr(ev, "phi_verdict", None)
-            or [m.phi_verdict for m in ev.modes if m.m != 0],
+            "classify": classify,
+            "disk": disk,
+            "phi_verdict": ev.phi_verdict,
             "z_verdicts": {m.m: m.z_verdict for m in ev.modes},
         }
     json.dump(out, sys.stdout, indent=1)
