@@ -5,9 +5,12 @@ Two routes feed a classification:
 * declared route -- the curvature carries a tail declaration (an
   inequality beyond some radius), and the inequality is verified on
   samples up to the horizon, never assumed;
-* numeric route -- boundedness verdicts at a finite horizon for
-  Lambda_m, bounded exactly when the surface is hyperbolic (Milnor's
-  criterion, Lambda_m = |m| integral_1^r ds/phi), and for z.
+* numeric route -- boundedness verdicts at a finite horizon for two
+  quantities. Lambda_1 = integral_1^r ds/phi is Milnor's integral: it
+  is bounded exactly when the surface is hyperbolic, and Lambda_m is
+  |m| Lambda_1. z_0 = integral_0^r (integral_0^s phi)/phi(s) ds is the
+  radial solution of Delta u = 1; when it is bounded, u = z_0 is itself
+  a bounded non-harmonic biharmonic function.
 
 The regime labels:
 
@@ -16,9 +19,11 @@ The regime labels:
               | undetermined
 
 A label is only emitted when its triggering inequality was sample-
-verified (declared route) or the numeric verdicts are determinate: one
-Lambda verdict stands for every m != 0, and the z verdicts must agree.
-Regions the theory does not cover come out undetermined on purpose.
+verified (declared route) or the numeric verdicts are determinate. The
+z_0 verdict stands for every m: phi_2m = exp(2 Lambda_m) is
+nondecreasing, so z_m <= z_0 on every surface, and on a hyperbolic
+surface z_m(inf) < inf exactly when z_0(inf) < inf. Regions the theory
+does not cover come out undetermined on purpose.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import write_csv, fmt17
+from ._util import fmt17
+from ._util import write_csv  # noqa: F401 -- patched by benchmarks/tracing.py
 from .errors import DomainError
 from .geometry import (
     CurvatureProfile,
@@ -46,7 +52,6 @@ __all__ = [
     "ADMITS_NONHARMONIC_BOUNDED",
     "UNDETERMINED",
     "TailFit",
-    "ModeEvidence",
     "EvidenceBundle",
     "ClassificationReport",
     "fit_tail_exponent",
@@ -66,7 +71,6 @@ BOUNDED = "bounded"
 UNBOUNDED = "unbounded"
 
 DEFAULT_HORIZON = 1000.0
-DEFAULT_M_SET = (1, 2, 3, 4, 5, 6, 7, 8)
 
 # Verdict rule constants. An increasing quantity sampled at doubling
 # radii is declared bounded when its increments either plateau (fall
@@ -163,70 +167,52 @@ def _increment_verdict(values: np.ndarray) -> tuple[str, float]:
 
 
 @dataclass(frozen=True)
-class ModeEvidence:
-    """The z ladder's verdict for one angular frequency."""
-
-    m: int
-    z_verdict: str
-
-
-@dataclass(frozen=True)
 class EvidenceBundle:
     """Everything the numeric route knows about a profile at its horizon.
 
-    ``phi_verdict`` is the ladder verdict on Lambda_ref, Lambda of the
-    largest tested |m|. Lambda_m = (|m|/m_ref) Lambda_ref and the verdict
-    rule does not depend on scale, so it holds for every m != 0.
+    ``phi_verdict`` is the ladder verdict on Lambda_1, Milnor's integral
+    (bounded: hyperbolic). Lambda_m = |m| Lambda_1 and the verdict rule
+    does not depend on scale, so it holds for every m != 0.
+    ``z_verdict`` is the ladder verdict on z_0, which stands for every
+    z_m (see the module docstring).
     """
 
     horizon: float
     phi_verdict: str
-    modes: tuple[ModeEvidence, ...]
+    z_verdict: str
     phi_grows: bool
     phi_nondecreasing: bool
-
-    def mode(self, m: int) -> ModeEvidence:
-        for ev in self.modes:
-            if ev.m == m:
-                return ev
-        raise KeyError(m)
 
 
 def numeric_evidence(
     profile: MetricProfile,
-    m_set=DEFAULT_M_SET,
     horizon: float = DEFAULT_HORIZON,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> EvidenceBundle:
-    """Doubling-ladder boundedness verdicts for Lambda and for z of each m.
+    """Doubling-ladder boundedness verdicts for Lambda_1 and z_0.
 
-    One mode pass carries every tested angular frequency and keeps only
-    the ladder radii and the profile probes, whose rows it integrates
+    One mode pass with m = 0 and 1 carries both and keeps only the
+    ladder radii and the profile probes, whose rows it integrates
     itself: phi'/phi at 48 radii over the last two decades below the
     horizon (``phi_nondecreasing``) and log phi at horizon/4 and at the
     horizon (``phi_grows``).
     """
-    if not m_set:
-        raise DomainError("m_set must be nonempty")
     horizon = profile.require_radius(horizon)
     ladder = _ladder(horizon)
     tail_r = np.geomspace(max(horizon / 100.0, 1.0), horizon, 48)
     probe_r = np.array([horizon / 4.0, horizon])
-    m_values = sorted(set(int(m) for m in m_set))
-    mp = mode_pass(profile, m_values, horizon, rtol=rtol, atol=atol,
+    mp = mode_pass(profile, (0, 1), horizon, rtol=rtol, atol=atol,
                    radii=np.concatenate((ladder, tail_r, probe_r)))
-    lam, z = mp.lam_z(ladder)     # row k holds |m| = mp.ms[k]; the last is m_ref
-    evidence = tuple(ModeEvidence(m, _increment_verdict(z[mp.ms.index(abs(m))])[0])
-                     for m in m_values)
+    lam, z = mp.lam_z(ladder)     # row k holds m = k
 
     _, v_tail = mp.profile_rows(tail_r)
     log_phi, _ = mp.profile_rows(probe_r)
     phi_grows = bool(log_phi[1] > log_phi[0] + 1e-9) and bool(log_phi[1] > math.log(10.0))
     return EvidenceBundle(
         horizon=horizon,
-        phi_verdict=_increment_verdict(lam[-1])[0],
-        modes=evidence,
+        phi_verdict=_increment_verdict(lam[1])[0],
+        z_verdict=_increment_verdict(z[0])[0],
         phi_grows=phi_grows,
         phi_nondecreasing=bool(np.all(v_tail >= -1e-12)),
     )
@@ -287,18 +273,15 @@ def _declared_labels(curv: CurvatureProfile, horizon, evidence) -> tuple[str, st
 def _numeric_labels(evidence: EvidenceBundle) -> tuple[str, str, list[str]]:
     """(harmonic, biharmonic, notes) from finite-horizon verdicts alone."""
     notes: list[str] = []
-    if not any(ev.m != 0 for ev in evidence.modes):
-        return UNDETERMINED, UNDETERMINED, ["numeric route needs some m != 0"]
-    z_verdicts = {ev.z_verdict for ev in evidence.modes}
     if evidence.phi_verdict == UNDETERMINED:
         notes.append("phi_m ladder is undetermined")
         harmonic = UNDETERMINED
     else:
         harmonic = HYPERBOLIC if evidence.phi_verdict == BOUNDED else PARABOLIC
-    if len(z_verdicts) != 1 or UNDETERMINED in z_verdicts:
-        notes.append(f"z verdicts disagree or are undetermined: {sorted(z_verdicts)}")
+    if evidence.z_verdict == UNDETERMINED:
+        notes.append("z_0 ladder is undetermined")
         return harmonic, UNDETERMINED, notes
-    z_bounded = z_verdicts == {BOUNDED}
+    z_bounded = evidence.z_verdict == BOUNDED
     if harmonic == UNDETERMINED:
         return harmonic, UNDETERMINED, notes
     if harmonic == HYPERBOLIC and z_bounded:
@@ -307,7 +290,7 @@ def _numeric_labels(evidence: EvidenceBundle) -> tuple[str, str, list[str]]:
         return HYPERBOLIC, LIOUVILLE_TO_HARMONIC, notes
     if harmonic == PARABOLIC and not z_bounded:
         return PARABOLIC, RIGID, notes
-    notes.append("phi_m unbounded with z bounded matches no covered regime")
+    notes.append("phi_m unbounded with z_0 bounded matches no covered regime")
     return PARABOLIC, UNDETERMINED, notes
 
 
@@ -336,7 +319,6 @@ def _fit_descriptor(fit: TailFit, curv_fn, horizon) -> TailDescriptor | None:
 def classify_surface(
     surface: Surface,
     horizon: float = DEFAULT_HORIZON,
-    m_set=DEFAULT_M_SET,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> ClassificationReport:
@@ -349,7 +331,7 @@ def classify_surface(
         raise DomainError(f"cannot classify a {type(surface).__name__}")
     metric, curv = surface.metric, surface.curvature
     horizon = metric.require_radius(horizon)
-    evidence = numeric_evidence(metric, m_set=m_set, horizon=horizon, rtol=rtol, atol=atol)
+    evidence = numeric_evidence(metric, horizon=horizon, rtol=rtol, atol=atol)
     notes: list[str] = []
 
     declared = curv.tail
@@ -431,20 +413,19 @@ def classify_surface(
 # report export
 # ----------------------------------------------------------------------
 
-def export_report(report: ClassificationReport, txt_path, csv_path) -> None:
-    """Write the key-value report and the per-m evidence CSV.
+def export_report(report: ClassificationReport, txt_path) -> None:
+    """Write the key-value report.
 
     ``classification.txt`` holds ``key = value`` lines: the two labels and
     the ``route`` that set them; the ``horizon``; ``phi_ladder``, the
-    Lambda verdict behind the numeric harmonic label (bounded: hyperbolic);
-    ``phi_grows``, which gates the ``ge_milnor`` tail's labels, and
-    ``phi_nondecreasing``, the ``between`` and ``le_power`` tails'
-    biharmonic label; ``declared_tail`` and ``declared_verified``, whether
-    the declared route may label; ``tail_fit_*``, the fit whose inferred
-    inequality labels instead when no declaration verified; and each
-    ``note``, why a label was withheld. ``evidence.csv`` holds one
-    ``m,z_verdict`` row per tested m; agreeing determinate z verdicts set
-    the numeric biharmonic label.
+    Lambda_1 verdict behind the numeric harmonic label (bounded:
+    hyperbolic), and ``z0_ladder``, the z_0 verdict behind the numeric
+    biharmonic label; ``phi_grows``, which gates the ``ge_milnor`` tail's
+    labels, and ``phi_nondecreasing``, the ``between`` and ``le_power``
+    tails' biharmonic label; ``declared_tail`` and ``declared_verified``,
+    whether the declared route may label; ``tail_fit_*``, the fit whose
+    inferred inequality labels instead when no declaration verified; and
+    each ``note``, why a label was withheld.
     """
     lines = [
         f"harmonic_regime = {report.harmonic_regime}",
@@ -452,6 +433,7 @@ def export_report(report: ClassificationReport, txt_path, csv_path) -> None:
         f"route = {report.route}",
         f"horizon = {fmt17(report.horizon)}",
         f"phi_ladder = {report.evidence.phi_verdict}",
+        f"z0_ladder = {report.evidence.z_verdict}",
         f"phi_grows = {report.evidence.phi_grows}",
         f"phi_nondecreasing = {report.evidence.phi_nondecreasing}",
         f"declared_tail = {report.declared.kind if report.declared else 'none'}",
@@ -468,6 +450,3 @@ def export_report(report: ClassificationReport, txt_path, csv_path) -> None:
         lines.append(f"note = {note}")
     with open(txt_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-    write_csv(csv_path, ["m", "z_verdict"],
-              [(ev.m, ev.z_verdict) for ev in report.evidence.modes])

@@ -3,7 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -69,32 +69,41 @@ def test_fit_window_validation():
 # ----------------------------------------------------------------------
 
 def test_evidence_flat(euclidean):
-    bundle = wd.numeric_evidence(euclidean.metric, m_set=(0, 1, 2), horizon=1000.0)
+    bundle = wd.numeric_evidence(euclidean.metric, horizon=1000.0)
     assert bundle.phi_verdict == "unbounded"
-    assert all(ev.z_verdict == "unbounded" for ev in bundle.modes)
+    assert bundle.z_verdict == "unbounded"
     assert bundle.phi_grows
 
 
 def test_evidence_hyperbolic(hyperbolic):
-    bundle = wd.numeric_evidence(hyperbolic.metric, m_set=(1,), horizon=1000.0)
+    bundle = wd.numeric_evidence(hyperbolic.metric, horizon=1000.0)
     assert bundle.phi_verdict == "bounded"
-    assert bundle.mode(1).z_verdict == "unbounded"
+    assert bundle.z_verdict == "unbounded"
 
 
 def test_evidence_power(power1):
-    bundle = wd.numeric_evidence(power1.metric, m_set=(1,), horizon=1000.0)
+    bundle = wd.numeric_evidence(power1.metric, horizon=1000.0)
     assert bundle.phi_verdict == "bounded"
-    assert bundle.mode(1).z_verdict == "bounded"
+    assert bundle.z_verdict == "bounded"
 
 
 def test_evidence_quadratic(quadratic1):
-    bundle = wd.numeric_evidence(quadratic1.metric, m_set=(1,), horizon=1000.0)
-    assert bundle.mode(1).z_verdict == "unbounded"
+    bundle = wd.numeric_evidence(quadratic1.metric, horizon=1000.0)
+    assert bundle.z_verdict == "unbounded"
 
 
-def test_evidence_needs_m(euclidean):
-    with pytest.raises(wd.DomainError):
-        wd.numeric_evidence(euclidean.metric, m_set=())
+@pytest.mark.parametrize("surface, z0", [
+    pytest.param("euclidean", lambda r: r * r / 4.0, id="euclidean"),
+    # 2 log cosh(r/2), written so that it does not overflow at r = 1000
+    pytest.param("hyperbolic", lambda r: r + 2.0 * np.log1p(np.exp(-r)) - 2.0 * math.log(2.0),
+                 id="hyperbolic"),
+])
+def test_z0_matches_its_closed_form(request, surface, z0):
+    # z_0 is the radial solution of Delta u = 1 with u(0) = 0
+    radii = asy._ladder(1000.0)
+    _, z = mode_pass(request.getfixturevalue(surface).metric, (0, 1), 1000.0,
+                     radii=radii).lam_z(radii)
+    assert_allclose(z[0], z0(radii), rtol=1e-9)
 
 
 def _family(k_tail, r0):
@@ -124,22 +133,34 @@ def _quadratic_log_family(p):
       for kappa in (0.5, 0.9, 1.0, 1.1, 2.0)],
     *[pytest.param(partial(_quadratic_log_family, p), id=f"p={p:g}") for p in (0, 1, 2, 3, 6)],
 ])
-def test_one_lambda_ladder_stands_for_every_m(monkeypatch, build):
-    # Lambda_m = (|m|/m_ref) Lambda_ref, so each Lambda_m row of the pass
-    # gets the verdict the bundle reports for Lambda_ref alone; the
-    # surfaces are the built-ins at the command-line defaults and the two
-    # families on either side of the theory's thresholds
-    passes = []
+def test_one_lambda_ladder_stands_for_every_m(build):
+    # Lambda_m = |m| Lambda_1 and z_m <= z_0, so the bundle's two verdicts,
+    # on Lambda_1 and on z_0, are those of every Lambda_m and every z_m;
+    # the surfaces are the built-ins at the command-line defaults and the
+    # two families on either side of the theory's thresholds
+    metric = build().metric
+    bundle = asy.numeric_evidence(metric, horizon=1000.0)
+    ladder = asy._ladder(1000.0)
+    lam, z = mode_pass(metric, range(0, 9), 1000.0, radii=ladder).lam_z(ladder)
+    assert [asy._increment_verdict(row)[0] for row in lam[1:]] == [bundle.phi_verdict] * 8
+    assert [asy._increment_verdict(row)[0] for row in z] == [bundle.z_verdict] * 9
+    assert np.all(z[1:] <= z[0])
 
-    def kept_pass(*args, **kwargs):
-        passes.append(mode_pass(*args, **kwargs))
-        return passes[-1]
 
-    monkeypatch.setattr(asy, "mode_pass", kept_pass)
-    bundle = asy.numeric_evidence(build().metric, m_set=range(1, 9), horizon=1000.0)
-    lam, _ = passes[0].lam_z(asy._ladder(1000.0))
-    assert passes[0].ms == tuple(range(1, 9))
-    assert [asy._increment_verdict(row)[0] for row in lam] == [bundle.phi_verdict] * 8
+_BLENDED_TAIL = st.tuples(st.floats(0.0, 2.0), st.floats(-2.0, 2.5), st.floats(0.5, 4.0))
+
+
+@settings(max_examples=25)
+@given(tail=_BLENDED_TAIL)
+def test_every_z_m_stays_below_z_0(tail):
+    # phi_2m = exp(2 Lambda_m) is nondecreasing, so w_m <= w_0 and z_m <= z_0
+    c, p, r0 = tail
+    k = _blended_curvature(lambda r: -c * r**p, r0)
+    metric = wd.MetricProfile(phi=None, phi_prime=None, log_phi=None, dlog_phi=None,
+                              r_max=50.0, k=k)   # a pass reads K alone
+    radii = np.geomspace(1e-3, 50.0, 64)
+    _, z = mode_pass(metric, range(0, 9), 50.0, radii=radii).lam_z(radii)
+    assert np.all(z[1:] <= z[0] * (1.0 + 1e-9))
 
 
 # no subnormal increment and no overflowing ratio, so scaling by 2^k is exact
@@ -162,7 +183,7 @@ def test_increment_verdict_does_not_depend_on_scale(values, k):
 # ----------------------------------------------------------------------
 
 def test_classify_flat(euclidean):
-    report = wd.classify_surface(euclidean, horizon=1000.0, m_set=(1, 2))
+    report = wd.classify_surface(euclidean, horizon=1000.0)
     assert report.harmonic_regime == wd.PARABOLIC
     assert report.biharmonic_regime == wd.RIGID
     assert report.route == "both"
@@ -170,33 +191,33 @@ def test_classify_flat(euclidean):
 
 
 def test_classify_hyperbolic(hyperbolic):
-    report = wd.classify_surface(hyperbolic, horizon=1000.0, m_set=(1, 2))
+    report = wd.classify_surface(hyperbolic, horizon=1000.0)
     assert report.harmonic_regime == wd.HYPERBOLIC
     assert report.biharmonic_regime == wd.LIOUVILLE_TO_HARMONIC
     assert report.route == "both"
 
 
 def test_classify_log_threshold(log_threshold):
-    report = wd.classify_surface(log_threshold, horizon=1000.0, m_set=(1, 2))
+    report = wd.classify_surface(log_threshold, horizon=1000.0)
     assert report.harmonic_regime == wd.HYPERBOLIC
     assert report.biharmonic_regime == wd.LIOUVILLE_TO_HARMONIC
 
 
 def test_classify_power(power1):
-    report = wd.classify_surface(power1, horizon=1000.0, m_set=(1, 2))
+    report = wd.classify_surface(power1, horizon=1000.0)
     assert report.harmonic_regime == wd.HYPERBOLIC
     assert report.biharmonic_regime == wd.ADMITS_NONHARMONIC_BOUNDED
     assert report.route == "both"
 
 
 def test_classify_quadratic(quadratic1):
-    report = wd.classify_surface(quadratic1, horizon=1000.0, m_set=(1, 2))
+    report = wd.classify_surface(quadratic1, horizon=1000.0)
     assert report.harmonic_regime == wd.HYPERBOLIC
     assert report.biharmonic_regime == wd.LIOUVILLE_TO_HARMONIC
 
 
 def test_classify_interior_threshold(interior_threshold):
-    report = wd.classify_surface(interior_threshold, horizon=1000.0, m_set=(1, 2))
+    report = wd.classify_surface(interior_threshold, horizon=1000.0)
     assert report.harmonic_regime == wd.PARABOLIC
     assert report.biharmonic_regime == wd.RIGID
 
@@ -205,7 +226,7 @@ def test_route_consistency(all_builtins):
     # whenever both routes produce labels they must agree, which the
     # orchestrator encodes as route == "both" without conflict notes
     for surface in all_builtins:
-        report = wd.classify_surface(surface, horizon=500.0, m_set=(1, 2))
+        report = wd.classify_surface(surface, horizon=500.0)
         assert report.route == "both"
         assert not any("says" in note for note in report.notes)
 
@@ -225,7 +246,7 @@ def _fake_evidence(phi_grows=True, nondecreasing=True):
     return asy.EvidenceBundle(
         horizon=100.0,
         phi_verdict="bounded",
-        modes=(),
+        z_verdict="unbounded",
         phi_grows=phi_grows,
         phi_nondecreasing=nondecreasing,
     )
@@ -266,37 +287,46 @@ def test_fit_gap_near_threshold_gives_no_descriptor():
     assert asy._fit_descriptor(fit, lambda r: -1.0 / np.asarray(r) ** 2, 100.0) is None
 
 
+def _bundle(phi_verdict, z_verdict):
+    return asy.EvidenceBundle(horizon=100.0, phi_verdict=phi_verdict, z_verdict=z_verdict,
+                              phi_grows=True, phi_nondecreasing=True)
+
+
 def test_mixed_numeric_verdicts_undetermined():
-    modes = (asy.ModeEvidence(1, "bounded"), asy.ModeEvidence(2, "unbounded"))
-    bundle = asy.EvidenceBundle(horizon=100.0, phi_verdict="bounded", modes=modes,
-                                phi_grows=True, phi_nondecreasing=True)
-    h, b, notes = asy._numeric_labels(bundle)
+    h, b, notes = asy._numeric_labels(_bundle("bounded", "undetermined"))
     assert h == wd.HYPERBOLIC
     assert b == wd.UNDETERMINED
-    assert notes == ["z verdicts disagree or are undetermined: ['bounded', 'unbounded']"]
-
+    assert notes == ["z_0 ladder is undetermined"]
 
 
 def test_undetermined_lambda_ladder_leaves_harmonic_undetermined():
-    modes = (asy.ModeEvidence(1, "unbounded"), asy.ModeEvidence(2, "unbounded"))
-    bundle = asy.EvidenceBundle(horizon=100.0, phi_verdict="undetermined", modes=modes,
-                                phi_grows=True, phi_nondecreasing=True)
-    assert asy._numeric_labels(bundle) == (wd.UNDETERMINED, wd.UNDETERMINED,
-                                           ["phi_m ladder is undetermined"])
+    assert asy._numeric_labels(_bundle("undetermined", "unbounded")) == (
+        wd.UNDETERMINED, wd.UNDETERMINED, ["phi_m ladder is undetermined"])
+
+
+@pytest.mark.parametrize("phi_verdict, z_verdict, labels", [
+    ("bounded", "bounded", (wd.HYPERBOLIC, wd.ADMITS_NONHARMONIC_BOUNDED)),
+    ("bounded", "unbounded", (wd.HYPERBOLIC, wd.LIOUVILLE_TO_HARMONIC)),
+    ("unbounded", "unbounded", (wd.PARABOLIC, wd.RIGID)),
+    ("unbounded", "bounded", (wd.PARABOLIC, wd.UNDETERMINED)),
+])
+def test_numeric_labels_from_the_two_verdicts(phi_verdict, z_verdict, labels):
+    h, b, notes = asy._numeric_labels(_bundle(phi_verdict, z_verdict))
+    assert (h, b) == labels
+    assert bool(notes) == (b == wd.UNDETERMINED)
+
 
 # ----------------------------------------------------------------------
 # report export
 # ----------------------------------------------------------------------
 
 def test_export_report(tmp_path, euclidean):
-    report = wd.classify_surface(euclidean, horizon=300.0, m_set=(1, 2))
+    report = wd.classify_surface(euclidean, horizon=300.0)
     txt = tmp_path / "classification.txt"
-    csv_path = tmp_path / "evidence.csv"
-    asy.export_report(report, txt, csv_path)
+    asy.export_report(report, txt)
     text = txt.read_text()
     assert "harmonic_regime = parabolic" in text
     assert "biharmonic_regime = rigid" in text
     assert "phi_ladder = unbounded" in text
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "m,z_verdict"
-    assert len(lines) == 3
+    assert "z0_ladder = unbounded" in text
+    assert list(tmp_path.iterdir()) == [txt]

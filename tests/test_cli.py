@@ -104,9 +104,34 @@ def test_verify_infeasible_tolerance_has_its_own_exit_code(tmp_path):
     assert "tolerance-infeasible" in (tmp_path / "verify_report.txt").read_text()
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["classify", "--profile", "euclidean"], id="classify"),
+    pytest.param(["modes", "--profile", "euclidean", "--horizon", "5"], id="modes"),
+    pytest.param(["bvp", "--radius", "3"], id="bvp"),
+])
+def test_infeasible_tolerance_is_refused_before_any_output(tmp_path, capsys, argv):
+    if argv[0] == "bvp":
+        argv = [*argv, _trace_file(tmp_path)]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--tol", "1e-20,1e-20", "--out", str(out)]) == cli.EXIT_INFEASIBLE
+    assert f"{argv[0]}: tolerance-infeasible" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_classify_ignores_mmax(tmp_path):
+    # classify reads Lambda_1 and z_0 alone, whatever --mmax says
+    argv = ["classify", *POWER[:-2], "--horizon", "100", "--rmax", "120"]
+    assert cli.main([*argv, "--out", str(tmp_path / "plain")]) == cli.EXIT_OK
+    assert cli.main([*argv, "--mmax", "8", "--out", str(tmp_path / "mmax")]) == cli.EXIT_OK
+    for run in ("plain", "mmax"):
+        assert [p.name for p in (tmp_path / run).iterdir()] == ["classification.txt"]
+    assert ((tmp_path / "plain" / "classification.txt").read_bytes()
+            == (tmp_path / "mmax" / "classification.txt").read_bytes())
+
+
 @pytest.mark.parametrize("argv, names", [
     pytest.param(["classify", *POWER, "--horizon", "100", "--rmax", "120"],
-                 ("classification.txt", "evidence.csv"), id="classify"),
+                 ("classification.txt",), id="classify"),
     pytest.param(["modes", *POWER, "--horizon", "5", "--rmax", "10",
                   "--grid", "geometric,1e-3,128"],
                  ("mode_0.csv", "mode_1.csv", "mode_2.csv"), id="modes"),

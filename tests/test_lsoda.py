@@ -35,7 +35,7 @@ def calls(monkeypatch):
 
 
 def _classify_pass(metric):
-    asymptotics.numeric_evidence(metric, m_set=range(1, 9), horizon=1000.0)
+    asymptotics.numeric_evidence(metric, horizon=1000.0)
 
 
 def _modes_passes(metric):

@@ -3,7 +3,7 @@
     PYTHONPATH=src python tools/solver_work.py [REPEATS]
 
 Runs ``asymptotics.numeric_evidence`` as ``warped-disk classify`` does at
-its defaults (m = 1..8, horizon 1000, built-ins valid to r = 1200), and
+its defaults (horizon 1000, built-ins valid to r = 1200), and
 ``bvp.solve_disk_biharmonic`` as ``warped-disk bvp`` does on a disk of
 radius 3 with |m| <= 8, and records what LSODA did in each pass: its
 steps (``nst``), right-hand-side calls (``nfe``) and Jacobians (``nje``).
@@ -13,8 +13,8 @@ solutions; an older one from the ``odeint`` and ``solve_ivp`` calls in
 ``modes`` (a ``solve_ivp`` pass counts the steps of its dense solution).
 A ``named_radii`` pass keeps the states at the radii its caller reads, a
 ``dense`` pass is readable anywhere. Per surface it also records the
-Lambda verdict, the z verdict of each m and the least in-process time of
-REPEATS (default 5) classify passes.
+Lambda_1 verdict, the z_0 verdict and the least in-process time of REPEATS
+(default 5) classify passes.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from warped_disk import asymptotics, bvp, modes
 
 SURFACES = (("euclidean", {}), ("hyperbolic", {}), ("power-curvature", {"eps": 1.0}),
             ("quadratic-curvature", {"eta": 1.0}), ("log-threshold", {"eps": 0.5}))
-M_SET = tuple(range(1, 9))
 HORIZON = 1000.0
 DISK_RADIUS, DISK_M = 3.0, 8
 
@@ -76,13 +75,13 @@ def main(argv=None) -> int:
         best = float("inf")
         for _ in range(repeats):
             t = perf_counter()
-            asymptotics.numeric_evidence(metric, m_set=M_SET, horizon=HORIZON)
+            asymptotics.numeric_evidence(metric, horizon=HORIZON)
             best = min(best, perf_counter() - t)
         classify: list = []
         disk: list = []
         saved = _counting(classify)
         try:
-            ev = asymptotics.numeric_evidence(metric, m_set=M_SET, horizon=HORIZON)
+            ev = asymptotics.numeric_evidence(metric, horizon=HORIZON)
         finally:
             for module, attr, original in saved:
                 setattr(module, attr, original)
@@ -97,7 +96,7 @@ def main(argv=None) -> int:
             "classify": classify,
             "disk": disk,
             "phi_verdict": ev.phi_verdict,
-            "z_verdicts": {m.m: m.z_verdict for m in ev.modes},
+            "z_verdict": ev.z_verdict,
         }
     json.dump(out, sys.stdout, indent=1)
     print()
