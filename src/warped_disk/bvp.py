@@ -435,17 +435,12 @@ def read_trace_csv(path, radius: float) -> BoundaryTrace:
 
 
 def write_trace_csv(path, trace: BoundaryTrace) -> None:
-    rows = zip(
-        map(float, trace.theta_nodes),
-        map(float, np.real(trace.u_values)),
-        map(float, np.real(trace.lap_u_values)),
-    )
-    write_csv(path, ["theta", "u", "lap_u"], rows)
+    write_csv(path, ["theta", "u", "lap_u"],
+              [trace.theta_nodes, np.real(trace.u_values), np.real(trace.lap_u_values)])
 
 
 def write_coefficients_csv(path, coeffs: ModeCoefficients) -> None:
     """Coefficient output: m, re_c, im_c, re_d, im_d."""
     c, d = coeffs.c, coeffs.d
-    rows = zip(coeffs.spectrum.m_values.tolist(), c.real.tolist(), c.imag.tolist(),
-               d.real.tolist(), d.imag.tolist())
-    write_csv(path, ["m", "re_c", "im_c", "re_d", "im_d"], rows)
+    write_csv(path, ["m", "re_c", "im_c", "re_d", "im_d"],
+              [coeffs.spectrum.m_values, c.real, c.imag, d.real, d.imag])

@@ -35,7 +35,15 @@ EXIT_INFEASIBLE = 3
 EXIT_USAGE = 64
 EXIT_NUMERIC = 70
 
-_MACH_EPS = float(np.finfo(float).eps)
+_DOUBLE_MIN_RTOL = 100.0 * float(np.finfo(float).eps) * 1e-3   # below double precision
+# The smallest rtol each command accepts: below it, a mode pass the
+# command runs would clamp its rtol to modes.RTOL_FLOOR. classify and bvp
+# run mode_pass; the reference pass of modes runs 32 times tighter still.
+_MIN_RTOL = {
+    "classify": modes.MODE_PASS_MIN_RTOL,
+    "bvp": modes.MODE_PASS_MIN_RTOL,
+    "modes": modes.BIHARMONIC_MODE_MIN_RTOL,
+}
 _BUILTIN_R_MAX = 1200.0   # radius of validity of a built-in when r_max is not given
 
 
@@ -173,9 +181,20 @@ def _surface(cfg: RunConfig) -> geometry.Surface:
     )
 
 
-def _tolerances_infeasible(cfg: RunConfig) -> bool:
-    """True when rtol or atol asks for more than double precision can deliver."""
-    return cfg.rtol < 100.0 * _MACH_EPS * 1e-3 or cfg.atol < 1e-15
+def _tolerance_refusal(cfg: RunConfig, command: str) -> str | None:
+    """Why ``command`` cannot meet the requested tolerances, or None when it can.
+
+    Refused are an rtol or atol beyond double precision, and an rtol
+    below the command's ``_MIN_RTOL``, which its passes would clamp.
+    """
+    if cfg.rtol < _DOUBLE_MIN_RTOL or cfg.atol < 1e-15:
+        return "requested tolerances are below what double precision supports"
+    min_rtol = _MIN_RTOL.get(command)
+    # isclose: the floor times the tightening factor rounds one ulp above 1e-11
+    if min_rtol is not None and cfg.rtol < min_rtol and not math.isclose(cfg.rtol, min_rtol):
+        return (f"rtol {cfg.rtol:g} is below {min_rtol:g}, the smallest {command} accepts; "
+                f"a mode pass it runs would be clamped to rtol {modes.RTOL_FLOOR:g}")
+    return None
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -312,7 +331,7 @@ def _suite_stencil(cfg: RunConfig, out: Path) -> tuple[bool, list[str]]:
             )
     write_csv(out / "residual_convergence.csv",
               ["profile", "m", "res_n65", "res_n129", "res_n257", "ratio_1", "ratio_2"],
-              rows)
+              list(zip(*rows)))
     return ok, lines
 
 
@@ -418,7 +437,7 @@ def _suite_regimes(cfg: RunConfig, out: Path) -> tuple[bool, list[str]]:
             f"via {report.route} ({'ok' if good else 'FAIL'})"
         )
     write_csv(out / "regime_evidence.csv",
-              ["profile", "harmonic", "biharmonic", "route"], rows)
+              ["profile", "harmonic", "biharmonic", "route"], list(zip(*rows)))
     return ok, lines
 
 
@@ -458,7 +477,13 @@ def cmd_profiles() -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _tol_help(command: str) -> str:
+    min_rtol = _MIN_RTOL.get(command, _DOUBLE_MIN_RTOL)
+    return (f"quadrature tolerances as RTOL,ATOL; an rtol below {min_rtol:.2g} or an "
+            f"atol below 1e-15 exits {EXIT_INFEASIBLE}")
+
+
+def _add_common(parser: argparse.ArgumentParser, command: str) -> None:
     parser.add_argument("--config", help="config file (key = value, sections per module)")
     parser.add_argument("--profile", help="built-in name or profile definition file")
     parser.add_argument("--eps", type=float, help="tail exponent parameter")
@@ -468,7 +493,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--horizon", type=float, help="largest radius used for evidence")
     parser.add_argument("--mmax", type=int, help="largest |m| used (classify ignores it)")
     parser.add_argument("--grid", help="grid as KIND,R_MIN,N (kind: uniform|geometric)")
-    parser.add_argument("--tol", help="quadrature tolerances as RTOL,ATOL")
+    parser.add_argument("--tol", help=_tol_help(command))
     parser.add_argument("--out", help="output directory")
 
 
@@ -487,18 +512,18 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="label the harmonic and biharmonic regimes")
-    _add_common(p)
+    _add_common(p, "classify")
 
     p = sub.add_parser("modes", help="write per-m mode CSV files")
-    _add_common(p)
+    _add_common(p, "modes")
 
     p = sub.add_parser("bvp", help="solve the disk problem from a trace CSV")
-    _add_common(p)
+    _add_common(p, "bvp")
     p.add_argument("trace", help="CSV file with columns theta,u,lap_u")
     p.add_argument("--radius", type=float, help="disk radius the trace lives on")
 
     p = sub.add_parser("verify", help="run the verification suites")
-    _add_common(p)
+    _add_common(p, "verify")
     p.add_argument("--inject-fault", dest="inject_fault", default=None,
                    help=argparse.SUPPRESS)
 
@@ -516,9 +541,9 @@ def main(argv=None) -> int:
     except (DomainError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if _tolerances_infeasible(cfg):
-        line = (f"{args.command}: tolerance-infeasible (requested tolerances are below "
-                "what double precision supports)")
+    refusal = _tolerance_refusal(cfg, args.command)
+    if refusal is not None:
+        line = f"{args.command}: tolerance-infeasible ({refusal})"
         if args.command == "verify":
             (_outdir(cfg) / "verify_report.txt").write_text(line + "\n")
             print(line)

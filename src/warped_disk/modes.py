@@ -69,12 +69,17 @@ __all__ = [
 
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
+RTOL_FLOOR = 1e-13      # a pass clamps a smaller rtol to this; LSODA would clamp it anyway
 # Local step tolerances under-deliver globally by roughly the step
 # count, so the pass meant to achieve the requested accuracy runs
 # _DELIVER times tighter, and the reference pass _TIGHTEN times tighter
 # still. The gap between the two is the reported per-node bound.
 _DELIVER = 32.0
 _TIGHTEN = 100.0
+# The smallest requested rtol no pass clamps: mode_pass runs _TIGHTEN
+# times tighter, the reference pass of biharmonic_mode _DELIVER * _TIGHTEN.
+MODE_PASS_MIN_RTOL = RTOL_FLOOR * _TIGHTEN
+BIHARMONIC_MODE_MIN_RTOL = RTOL_FLOOR * _DELIVER * _TIGHTEN
 _BOUND_SAFETY = 8.0     # reported bounds may exceed the request by this factor
 _ORIGIN_FRACTION = 0.5  # integration starts at min(1e-5, r_min * this)
 
@@ -249,7 +254,7 @@ class _ModePass:
               *[math.log(t0 / (2.0 + 2.0 * am)) for am in ms],
               *[t0 * t0 / (4.0 + 4.0 * am) for am in ms]]
         span_end = max(r_end, 1.0)  # Lambda is anchored at r = 1
-        rtol = max(rtol, 1e-13)     # below this the solver clamps anyway
+        rtol = max(rtol, RTOL_FLOOR)
         what = f"mode quadrature for m={', '.join(map(str, ms))}"
         self._radii = None
         if radii is not None:
@@ -355,6 +360,11 @@ def biharmonic_mode(
     Lambda_m alone. Each pass integrates the profile from K(r) itself,
     so the bounds cover the profile's error as well; the tight pass's
     profile rows are kept as ``log_phi`` and ``dlog_phi``.
+
+    The reference pass runs rtol / 3200, and no pass runs below
+    ``RTOL_FLOOR`` (1e-13): an rtol under ``BIHARMONIC_MODE_MIN_RTOL``
+    (3.2e-10) is clamped there without a message, and the bound then
+    measures the gap between two nearly equal passes.
     """
     if rtol <= 0.0 or atol <= 0.0:
         raise DomainError("quadrature tolerances must be positive")
@@ -403,8 +413,10 @@ def mode_pass(profile: MetricProfile, m, r_end: float,
     ``m`` is one angular frequency or a sequence of them; a sequence is
     solved as one system whose frequencies share the profile rows and the
     K(r) evaluation of every right-hand-side call. The pass runs _TIGHTEN
-    times tighter than the requested tolerances. Given ``radii`` it
-    holds the values at those radii (any subset can be read back, no
+    times tighter than the requested tolerances, its rtol clamped from
+    below to ``RTOL_FLOOR`` (1e-13) without a message: any rtol under
+    ``MODE_PASS_MIN_RTOL`` (1e-11) runs the pass of 1e-11. Given ``radii``
+    it holds the values at those radii (any subset can be read back, no
     other radius); without, it holds a dense solution readable anywhere
     in [t0, r_end].
     """
@@ -500,11 +512,5 @@ def profile_residual(profile: MetricProfile, x: np.ndarray, v: np.ndarray) -> fl
 
 def export_mode_csv(path, mode: BiharmonicMode) -> None:
     """Per-mode CSV: r, lambda_m, z, log_psi_m, err_bound."""
-    rows = zip(
-        map(float, mode.grid.nodes),
-        map(float, mode.lam),
-        map(float, mode.z),
-        map(float, mode.log_psi),
-        map(float, mode.quadrature_error),
-    )
-    write_csv(path, ["r", "lambda_m", "z", "log_psi_m", "err_bound"], rows)
+    write_csv(path, ["r", "lambda_m", "z", "log_psi_m", "err_bound"],
+              [mode.grid.nodes, mode.lam, mode.z, mode.log_psi, mode.quadrature_error])

@@ -118,6 +118,40 @@ def test_infeasible_tolerance_is_refused_before_any_output(tmp_path, capsys, arg
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, smallest", [
+    pytest.param(["classify", "--tol", "1e-14,1e-15"], "1e-11", id="classify"),
+    pytest.param(["classify", "--tol", "1e-16,1e-15"], "1e-11", id="classify_deeper"),
+    pytest.param(["modes", "--tol", "3e-10,1e-12", "--horizon", "5"], "3.2e-10", id="modes"),
+    pytest.param(["bvp", "--tol", "9e-12,1e-13", "--radius", "3"], "1e-11", id="bvp"),
+])
+def test_rtol_a_mode_pass_would_clamp_is_refused(tmp_path, capsys, argv, smallest):
+    # the passes floor rtol at modes.RTOL_FLOOR, so such a request would run another one
+    if argv[0] == "bvp":
+        argv = [*argv, _trace_file(tmp_path)]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert f"{argv[0]}: tolerance-infeasible" in err and f"below {smallest}," in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["classify", "--tol", "1e-11,1e-13"], id="classify_smallest_rtol"),
+    pytest.param(["modes", "--tol", "3.2e-10,1e-12", "--horizon", "5"], id="modes_smallest_rtol"),
+    pytest.param(["modes"], id="modes_defaults"),
+])
+def test_smallest_accepted_rtol_runs(tmp_path, argv):
+    assert cli.main([*argv, "--out", str(tmp_path)]) == cli.EXIT_OK
+
+
+def test_tol_help_names_each_commands_smallest_rtol(capsys):
+    for command, smallest in (("classify", "1e-11"), ("bvp", "1e-11"), ("modes", "3.2e-10")):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"rtol below {smallest} or an atol below 1e-15 exits 3" in help_text
+
+
 def test_classify_ignores_mmax(tmp_path):
     # classify reads Lambda_1 and z_0 alone, whatever --mmax says
     argv = ["classify", *POWER[:-2], "--horizon", "100", "--rmax", "120"]

@@ -486,3 +486,14 @@ def test_mode_csv_columns(tmp_path, euclidean):
     row = lines[1].split(",")
     assert_allclose(float(row[0]), 0.5)
     assert_allclose(float(row[2]), 0.5**2 / 8.0, rtol=1e-6)
+
+
+def test_mode_csv_reads_back_bit_for_bit(tmp_path, hyperbolic):
+    grid = RadialGrid.geometric(1e-3, 50.0, 64)
+    mode = wd.biharmonic_mode(hyperbolic.metric, 2, grid)
+    path = tmp_path / "mode_2.csv"
+    export_mode_csv(path, mode)
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    for column, values in zip(table.T, (grid.nodes, mode.lam, mode.z, mode.log_psi,
+                                        mode.quadrature_error)):
+        np.testing.assert_array_equal(column, values)

@@ -12,7 +12,7 @@ exit code (``exit.txt``); stderr is not kept, since warnings name source
 paths. The traces the ``bvp`` runs read are written to ``OUTDIR/inputs``.
 Two trees written from two versions of the package are byte-identical
 exactly when ``diff -r`` reports nothing.
-The whole set takes about 25 s on two cores.
+The whole set takes about 5 s on two cores.
 """
 
 from __future__ import annotations
@@ -56,6 +56,9 @@ RUNS = {
     "classify_power": ["classify", *POWER],
     "modes_euclidean": ["modes", *EUCLIDEAN],
     "modes_power": ["modes", *POWER, "--horizon", "100", "--mmax", "2"],
+    "modes_hyperbolic": ["modes", *HYPERBOLIC],
+    # short decimal radii in the r column
+    "modes_uniform": ["modes", *EUCLIDEAN, "--grid", "uniform,0.25,64", "--horizon", "16"],
     "bvp_noisy_euclidean": ["bvp", *EUCLIDEAN, "--radius", "3", "../inputs/noisy.csv"],
     "bvp_noisy_power": ["bvp", *POWER, "--radius", "3", "../inputs/noisy.csv"],
     "bvp_noisy_hyperbolic": ["bvp", *HYPERBOLIC, "--radius", "3", "../inputs/noisy.csv"],
