@@ -6,7 +6,6 @@ decimal, anything else as text quoted the way ``csv``'s excel dialect
 quotes it, each line ending in ``\\r\\n``.
 """
 
-import configparser
 from itertools import chain
 
 from .errors import DomainError
@@ -75,6 +74,8 @@ def read_key_values(path, types: dict, kind: str) -> list[tuple[str, str, object
     ``%`` interpolation), an unknown section or key, or a value its type
     refuses raises DomainError.
     """
+    import configparser   # deferred: only a run given a config or profile file reads one
+
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)

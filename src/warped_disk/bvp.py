@@ -297,9 +297,11 @@ def evaluate_solution(
     one read for all m. Below the pass's start t0 they follow its origin
     seed, Lambda_m(t0) + |m| log(r/t0) and z(t0) (r/t0)^2. At r = 0 only
     m = 0 contributes, with phi_0(0) = 1 and z(0) = 0. Requests beyond
-    the disk are refused.
+    the disk, and a non-finite r or theta, are refused.
     """
     r = float(r)
+    if not (math.isfinite(r) and math.isfinite(theta)):
+        raise DomainError("evaluation needs a finite point (r, theta)")
     if r > coeffs.radius * (1.0 + 1e-12):
         raise DomainError("evaluation outside the disk is extrapolation; refused")
     r = min(r, coeffs.radius)

@@ -12,6 +12,13 @@ Options can come from a config file (flat key-value text with one
 section per module); command-line flags override file values. All
 output files are deterministic: identical configs produce byte-identical
 CSV and report files.
+
+Importing this module loads only the layers every command runs
+(``geometry``, ``modes`` with ``operators`` and ``_lsoda``, ``_util``
+and ``errors``). ``asymptotics`` and ``bvp`` are imported in the bodies
+of the commands and suites that run them, so ``modes`` loads neither,
+``classify`` never loads ``bvp``, and ``profiles``, ``--help`` and
+refused runs load neither.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import asymptotics, bvp, geometry, modes, operators
+from . import geometry, modes, operators
 from ._util import fmt17, read_key_values, write_csv
 from .errors import DomainError, WarpedDiskError
 
@@ -34,6 +41,14 @@ EXIT_UNDETERMINED = 2
 EXIT_INFEASIBLE = 3
 EXIT_USAGE = 64
 EXIT_NUMERIC = 70
+_EXIT_MEANINGS = (
+    (EXIT_OK, "done"),
+    (EXIT_FAIL, "a check failed"),
+    (EXIT_UNDETERMINED, "a label undetermined (classify)"),
+    (EXIT_INFEASIBLE, "tolerance infeasible"),
+    (EXIT_USAGE, "usage or configuration error"),
+    (EXIT_NUMERIC, "numeric failure"),
+)
 
 _DOUBLE_MIN_RTOL = 100.0 * float(np.finfo(float).eps) * 1e-3   # below double precision
 # The smallest rtol each command accepts: below it, a mode pass the
@@ -208,6 +223,8 @@ def _outdir(cfg: RunConfig) -> Path:
 # ----------------------------------------------------------------------
 
 def cmd_classify(cfg: RunConfig) -> int:
+    from . import asymptotics
+
     surface = _surface(cfg)
     report = asymptotics.classify_surface(surface, horizon=cfg.horizon,
                                           rtol=cfg.rtol, atol=cfg.atol)
@@ -254,6 +271,8 @@ def cmd_modes(cfg: RunConfig) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_bvp(cfg: RunConfig, trace_path: str) -> int:
+    from . import bvp
+
     surface = _surface(cfg)
     trace = bvp.read_trace_csv(trace_path, radius=cfg.radius)
     spectrum = bvp.analyze_trace(trace, m_max=min(cfg.m_max, trace.n_samples // 2 - 1))
@@ -376,6 +395,8 @@ def _suite_comparison(cfg: RunConfig, out: Path) -> tuple[bool, list[str]]:
 
 def _suite_roundtrip(cfg: RunConfig, out: Path) -> tuple[bool, list[str]]:
     """Curvature IVP round trip and a disk-solve round trip."""
+    from . import bvp
+
     lines = []
     ok = True
     for k_val, exact in ((0.0, lambda r: r), (-1.0, np.sinh)):
@@ -415,6 +436,8 @@ def _suite_roundtrip(cfg: RunConfig, out: Path) -> tuple[bool, list[str]]:
 
 def _suite_regimes(cfg: RunConfig, out: Path) -> tuple[bool, list[str]]:
     """Built-in surfaces must land in their regimes."""
+    from . import asymptotics
+
     horizon = min(cfg.horizon, 400.0)
     expected = [
         ("euclidean", {}, asymptotics.PARABOLIC, asymptotics.RIGID),
@@ -508,6 +531,9 @@ def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="warped-disk",
         description="Harmonic/biharmonic mode analysis on rotationally symmetric surfaces",
+        epilog="exit codes:\n" + "\n".join(f"  {code:>2}  {meaning}"
+                                           for code, meaning in _EXIT_MEANINGS),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -342,6 +342,22 @@ def _checked(values_tight, values_loose, magnitude, rtol, atol, nodes, what):
     return np.maximum(err, floor)
 
 
+def _outward_max(err, nodes):
+    """The running maximum of ``err`` taken outward from the anchor r = 1.
+
+    Lambda_m is pinned to 0 at r = 1, so its error builds up away from
+    there; the pointwise gap between two passes can pass through zero
+    where the tight pass's own error does not. Nodes at or above 1 take
+    the largest gap from the first such node up to them, nodes below 1
+    the largest from the last such node down to them.
+    """
+    above = nodes >= 1.0
+    out = np.empty_like(err)
+    out[above] = np.maximum.accumulate(err[above])
+    out[~above] = np.maximum.accumulate(err[~above][::-1])[::-1]
+    return out
+
+
 def biharmonic_mode(
     profile: MetricProfile,
     m,
@@ -357,9 +373,11 @@ def biharmonic_mode(
     and normalized so that phi_m(1) = 1. Per-node error bounds come from
     comparing the requested-tolerance pass against one two orders
     tighter: ``quadrature_error`` for log psi_m, ``lam_error`` for
-    Lambda_m alone. Each pass integrates the profile from K(r) itself,
-    so the bounds cover the profile's error as well; the tight pass's
-    profile rows are kept as ``log_phi`` and ``dlog_phi``.
+    Lambda_m alone. Lambda_m's share is the running maximum of the gap
+    outward from r = 1, where Lambda_m is anchored. Each pass integrates
+    the profile from K(r) itself, so the bounds cover the profile's error
+    as well; the tight pass's profile rows are kept as ``log_phi`` and
+    ``dlog_phi``.
 
     The reference pass runs rtol / 3200, and no pass runs below
     ``RTOL_FLOOR`` (1e-13): an rtol under ``BIHARMONIC_MODE_MIN_RTOL``
@@ -387,8 +405,8 @@ def biharmonic_mode(
         k = tight.ms.index(am)
         # this m's share of the shift that normalizes Lambda_m(1) = 0
         shift = abs(tight.lam_at_one) * (am / tight.ms[-1]) if am else 0.0
-        err_lam = _checked(lam_t[k], lam_l[k], np.abs(lam_t[k]) + shift,
-                           rtol, atol, nodes, f"Lambda_{mi} quadrature")
+        err_lam = _outward_max(_checked(lam_t[k], lam_l[k], np.abs(lam_t[k]) + shift,
+                                        rtol, atol, nodes, f"Lambda_{mi} quadrature"), nodes)
         err_z = _checked(z_t[k], z_l[k], z_t[k], rtol, atol, nodes,
                          f"reduction factor quadrature (m={mi})")
         out.append(BiharmonicMode(

@@ -393,6 +393,18 @@ def test_evaluate_refuses_extrapolation(euclidean):
         wd.evaluate_solution(euclidean.metric, coeffs, 1.5, 0.0)
 
 
+@pytest.mark.parametrize("r, theta", [(math.nan, 0.0), (1.0, math.inf), (1.0, -math.inf),
+                                      (1.0, math.nan)])
+def test_evaluate_refuses_a_non_finite_point(euclidean, r, theta):
+    alpha = np.zeros(3, dtype=complex)
+    alpha[1] = 1.0
+    coeffs = wd.solve_disk_biharmonic(
+        euclidean.metric, 1.5, spectrum_from_arrays(1, alpha, np.zeros(3), real_valued=True)
+    )
+    with pytest.raises(wd.DomainError, match="finite"):
+        wd.evaluate_solution(euclidean.metric, coeffs, r, theta)
+
+
 def test_evaluate_against_dense_synthesis(hyperbolic):
     rng = np.random.default_rng(17)
     m_max = 4

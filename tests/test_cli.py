@@ -152,6 +152,22 @@ def test_tol_help_names_each_commands_smallest_rtol(capsys):
         assert f"rtol below {smallest} or an atol below 1e-15 exits 3" in help_text
 
 
+def test_help_lists_every_exit_code_and_its_meaning(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    table = lines[lines.index("exit codes:") + 1:]
+    assert [line.split(None, 1) for line in table] == [
+        [str(cli.EXIT_OK), "done"],
+        [str(cli.EXIT_FAIL), "a check failed"],
+        [str(cli.EXIT_UNDETERMINED), "a label undetermined (classify)"],
+        [str(cli.EXIT_INFEASIBLE), "tolerance infeasible"],
+        [str(cli.EXIT_USAGE), "usage or configuration error"],
+        [str(cli.EXIT_NUMERIC), "numeric failure"],
+    ]
+
+
 def test_classify_ignores_mmax(tmp_path):
     # classify reads Lambda_1 and z_0 alone, whatever --mmax says
     argv = ["classify", *POWER[:-2], "--horizon", "100", "--rmax", "120"]

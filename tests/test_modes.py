@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
@@ -82,6 +84,37 @@ def test_error_bounds_cover_the_profile_error(eps):
     for mode, exact in zip(got, ref):
         assert np.all(np.abs(mode.lam - exact.lam) <= mode.lam_error), mode.m
         assert np.all(np.abs(mode.log_psi - exact.log_psi) <= mode.quadrature_error), mode.m
+
+
+def test_lam_error_covers_a_node_where_the_pass_gap_vanishes(euclidean):
+    # the loose and tight passes agree to the atol floor at r = 0.0256,
+    # while the tight pass is off by 1.1e-9 |m| there
+    grid = RadialGrid.geometric(0.00094, 11.4, 530)
+    for mode in wd.biharmonic_mode(euclidean.metric, range(4), grid, rtol=1e-7, atol=1e-9):
+        actual = np.abs(mode.lam - mode.m * np.log(grid.nodes))
+        assert np.all(actual <= mode.lam_error), mode.m
+
+
+_CLOSED_FORM_LAMBDA = {
+    "euclidean": np.log,
+    "hyperbolic": lambda r: np.log(np.tanh(r / 2.0)) - math.log(math.tanh(0.5)),
+}
+
+
+@settings(max_examples=30)
+@given(surface=st.sampled_from(sorted(_CLOSED_FORM_LAMBDA)),
+       log_rtol=st.floats(math.log10(3.2e-10), -5.0),
+       ms=st.sets(st.integers(0, 8), min_size=1),
+       r_min=st.floats(1e-4, 1e-1), r_max=st.floats(3.0, 1000.0), n=st.integers(32, 600))
+def test_lam_error_covers_the_closed_form_at_every_node(request, surface, log_rtol, ms,
+                                                         r_min, r_max, n):
+    metric = request.getfixturevalue(surface).metric
+    rtol = 10.0 ** log_rtol
+    grid = RadialGrid.geometric(r_min, r_max, n)
+    unit = _CLOSED_FORM_LAMBDA[surface](grid.nodes)   # Lambda_1
+    for mode in wd.biharmonic_mode(metric, sorted(ms), grid, rtol=rtol, atol=rtol / 100.0):
+        actual = np.abs(mode.lam - mode.m * unit)
+        assert np.all(actual <= mode.lam_error), mode.m
 
 
 def test_mode_pass_refuses_a_profile_without_curvature(euclidean):
