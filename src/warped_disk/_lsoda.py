@@ -20,7 +20,8 @@ fallback import, rather than a scipy version.
 
 Both drivers take ``rhs(t, y)`` and ``jac(t, y)`` and raise ``Stopped``
 when LSODA gives up, with ODEPACK's reason in the words of scipy's
-message table. Each solution carries LSODA's own work counters: steps
+message table; a dense pass's ``Stopped`` also holds the state of its
+last accepted step. Each solution carries LSODA's own work counters: steps
 (``nst``), right-hand-side calls (``nfe``) and Jacobians (``nje``).
 """
 
@@ -86,11 +87,15 @@ _MXORDN, _MXORDS = 12, 5
 
 
 class Stopped(Exception):
-    """LSODA gave up: ``message`` says why, ``reached`` is the last radius it reached."""
+    """LSODA gave up: ``message`` says why, ``reached`` is the last radius it reached.
 
-    def __init__(self, istate: int, reached: float):
+    ``state`` is the state there, or None when the driver does not know it.
+    """
+
+    def __init__(self, istate: int, reached: float, state=None):
         self.message = _MESSAGES.get(istate, f"unexpected istate {istate}")
         self.reached = float(reached)
+        self.state = state
         super().__init__(self.message)
 
 
@@ -182,7 +187,7 @@ def dense(rhs, jac, y0, t0: float, t_end: float, rtol: float, atol: float) -> So
         y, t, istate = _odepack.lsoda(rhs, y, t, t_end, rtol, atol, 5, istate, rwork, iwork,
                                       jac, 1, (), 1, (), state_doubles, state_ints)
         if istate < 0:
-            raise Stopped(istate, ts[-1])
+            raise Stopped(istate, ts[-1], ys[-1])
         istate = 2
         # the Nordsieck array up to the order of the step just taken; when
         # the order is about to drop, its last column still has the scale

@@ -242,6 +242,10 @@ def _declared_labels(curv: CurvatureProfile, horizon, evidence) -> tuple[str, st
     if tail is None or tail.kind == "custom":
         return UNDETERMINED, UNDETERMINED, False, ["no machine-checkable tail declaration"]
     check = curv.verify_tail(horizon)
+    if check.n_checked == 0:
+        notes.append(f"declared tail starts at r0 = {tail.r0:.4g}, at or beyond the horizon; "
+                     "not checked")
+        return UNDETERMINED, UNDETERMINED, False, notes
     if not check.ok:
         where = "" if check.first_violation is None else f" near r = {check.first_violation:.4g}"
         notes.append(f"declared tail failed sample verification{where}")
@@ -294,7 +298,7 @@ def _numeric_labels(evidence: EvidenceBundle) -> tuple[str, str, list[str]]:
     return PARABOLIC, UNDETERMINED, notes
 
 
-def _fit_descriptor(fit: TailFit, curv_fn, horizon) -> TailDescriptor | None:
+def _fit_descriptor(fit: TailFit, curv_fn) -> TailDescriptor | None:
     """Turn a clean template fit into an inequality to verify on samples."""
     lo = fit.window[0]
     if fit.kind == "log_threshold":
@@ -353,7 +357,7 @@ def classify_surface(
         except DomainError:
             tail_fit = None
         if tail_fit is not None and tail_fit.kind in ("power", "log_threshold"):
-            inferred = _fit_descriptor(tail_fit, k_fn, horizon)
+            inferred = _fit_descriptor(tail_fit, k_fn)
             if inferred is not None:
                 probe = CurvatureProfile(k=k_fn, tail=inferred, name="fit")
                 h_fit, b_fit, ok, fn = _declared_labels(probe, horizon, evidence)

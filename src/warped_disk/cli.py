@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import geometry, modes, operators
+from . import _lsoda, geometry, modes, operators
 from ._util import fmt17, read_key_values, write_csv
 from .errors import DomainError, WarpedDiskError
 
@@ -361,8 +361,6 @@ def _suite_comparison(cfg: RunConfig, out: Path) -> tuple[bool, list[str]]:
     form: v' = q - v^2 with q_f <= q_h and v_f(1) <= v_h(1) must give
     v_f <= v_h on [1, 4].
     """
-    from scipy.integrate import solve_ivp
-
     rng = np.random.default_rng(20240801)
     n_pairs = 200
     # per pair: c0, c1, w1, p1, gap_c, w2, p2, v0, dv0, drawn in that order
@@ -378,14 +376,18 @@ def _suite_comparison(cfg: RunConfig, out: Path) -> tuple[bool, list[str]]:
         q_h = q_f + gap_c * (1.0 + np.sin(w2 * r + p2)) / 2.0
         return np.concatenate((q_f, q_h)) - y * y
 
-    # the solver's error norm is an RMS over all 2 n_pairs states, so
-    # dividing the tolerances by sqrt(2 n_pairs) keeps every pair within
-    # what a solve of that pair alone at rtol 1e-11, atol 1e-13 allows
+    def jac(r, y):
+        return np.diag(-2.0 * y)
+
+    # LSODA's error norm is an RMS over all 2 n_pairs states, so dividing
+    # the tolerances by sqrt(2 n_pairs) keeps every pair within what a
+    # solve of that pair alone at rtol 1e-11, atol 1e-13 allows
     shrink = math.sqrt(2 * n_pairs)
     xs = np.linspace(1.0, 4.0, 41)
-    sol = solve_ivp(rhs, (1.0, 4.0), np.concatenate((v0, v0 + dv0)),
-                    rtol=1e-11 / shrink, atol=1e-13 / shrink, t_eval=xs)
-    vf, vh = sol.y[:n_pairs], sol.y[n_pairs:]
+    y0 = np.concatenate((v0, v0 + dv0))
+    sol = _lsoda.at_radii(rhs, jac, y0, xs, rtol=1e-11 / shrink, atol=1e-13 / shrink, tcrit=4.0)
+    ys = np.column_stack((y0, sol.y))   # the states at every x in xs
+    vf, vh = ys[:n_pairs], ys[n_pairs:]
     failures = int(np.sum(np.any(vf > vh + 1e-9 * np.maximum(1.0, np.abs(vh)), axis=1)))
     ok = failures == 0
     lines = [f"comparison: {n_pairs} randomized pairs, {failures} conclusion failures "

@@ -23,10 +23,10 @@ class ConjugatePointError(WarpedDiskError):
 
 
 class IntegrationError(WarpedDiskError):
-    """The profile ODE integrator failed (stiffness, step underflow)."""
+    """The ODE integrator failed (stiffness, step underflow)."""
 
 
-class QuadratureError(WarpedDiskError):
+class QuadratureError(IntegrationError):
     """A mode quadrature did not converge to the requested tolerance.
 
     ``worst_interval`` brackets the radius at which the accuracy check

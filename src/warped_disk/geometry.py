@@ -4,9 +4,9 @@ A metric ``dr^2 + phi(r)^2 dtheta^2`` on the plane is determined by its
 warp function ``phi``. This module constructs profiles either from
 closed-form warp functions (flat plane, hyperbolic plane) or by
 integrating the curvature relation ``phi'' = -K phi`` from the origin
-conditions ``phi(0) = 0, phi'(0) = 1``. Profiles with steep negative
-curvature grow beyond double-precision range, so the integration is
-carried in log space: the state is ``(log phi, phi'/phi)``.
+conditions ``phi(0) = 0, phi'(0) = 1`` as a dense mode pass of m = 0
+(``modes``), whose log-space state ``(log(phi/r), phi'/phi - 1/r)``
+stays finite where phi itself overflows.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from ._util import read_key_values
 from ._util import write_csv  # noqa: F401 -- patched by benchmarks/tracing.py
-from .errors import ConjugatePointError, DomainError, IntegrationError
+from .errors import DomainError
 
 __all__ = [
     "RadialGrid",
@@ -38,7 +38,6 @@ DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 ORIGIN_STEP = 1e-6          # integration starts here, seeded by a series
 ANALYTIC_R_MAX = 1.0e6
-_BLOWDOWN = 1e6             # |phi'/phi| threshold marking collapse of phi
 
 
 # ----------------------------------------------------------------------
@@ -207,8 +206,8 @@ class MetricProfile:
     and for explicit reads by library callers. A profile without ``k``
     serves only those reads; mode passes refuse it.
 
-    The evaluators of a curvature-integrated built-in solve the profile
-    when one of them is first read and reuse that solve after (see
+    The evaluators of a curvature-integrated built-in run its profile's
+    dense mode pass when one of them is first read and reuse it after (see
     ``builtin_profile``); a profile that is never read costs no solve.
     Threads that read such a profile for the first time at once may each
     run the same solve; every run gives the same profile, so the race
@@ -242,7 +241,7 @@ class Surface:
 
 
 # ----------------------------------------------------------------------
-# curvature -> profile integration (log space)
+# curvature -> profile integration (a dense mode pass)
 # ----------------------------------------------------------------------
 
 def _as_curvature_callable(curvature) -> Callable:
@@ -279,15 +278,7 @@ def _check_curvature_ivp(k_fn: Callable, r_max: float,
     return rtol, atol
 
 
-def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported at the first call.
-
-    Importing ``scipy.integrate`` costs more than most commands take, and
-    only ``profile_from_curvature`` needs it (for its collapse event), so
-    the commands that never integrate a profile never import it.
-    """
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-    return scipy_solve_ivp(*args, **kwargs)
+solve_ivp = None  # patched by benchmarks/tracing.py; every ODE runs through _lsoda
 
 
 def profile_from_curvature(
@@ -298,94 +289,49 @@ def profile_from_curvature(
 ) -> MetricProfile:
     """Integrate phi'' = -K phi with phi(0) = 0, phi'(0) = 1.
 
-    The ODE is carried as (u, v) = (log phi, phi'/phi), which keeps the
-    state representable when phi grows like exp(r^p). Integration starts
-    at h0 = ORIGIN_STEP from the two-term series phi ~ h0 - K(0) h0^3/6.
+    One dense mode pass of m = 0 (``modes._ModePass``) at ``step_control``
+    carries (a, b) = (log(phi/r), phi'/phi - 1/r) from h0 = ORIGIN_STEP,
+    seeded by the series phi ~ h0 - K(0) h0^3/6; K = 0 keeps both exactly
+    0. The evaluators give phi = r e^a, phi' = e^a (1 + r b),
+    log phi = a + log r and phi'/phi = b + 1/r, the series below h0, and
+    radii beyond r_max read at r_max.
 
     Raises ConjugatePointError when phi collapses to zero at some
-    positive radius, and IntegrationError when the solver gives up.
+    positive radius, and a QuadratureError (an IntegrationError) when the
+    solver gives up.
     """
+    from . import modes   # modes imports this module
+
     k_fn = _as_curvature_callable(curvature)
     rtol, atol = _check_curvature_ivp(k_fn, r_max, step_control)
-    h0 = ORIGIN_STEP
+    h0, r_hi = ORIGIN_STEP, float(r_max)
     k0 = float(k_fn(0.0))
-    phi0 = h0 - k0 * h0**3 / 6.0
-    dphi0 = 1.0 - k0 * h0**2 / 2.0
-    y0 = [math.log(phi0), dphi0 / phi0]
 
-    def rhs(r, y):
-        return (y[1], -float(k_fn(r)) - y[1] * y[1])
-
-    def jac(r, y):
-        return np.array([[0.0, 1.0], [0.0, -2.0 * y[1]]])
-
-    def collapse(r, y):
-        return y[1] + _BLOWDOWN
-
-    collapse.terminal = True
-    collapse.direction = -1.0
-
-    sol = solve_ivp(
-        rhs,
-        (h0, float(r_max)),
-        y0,
-        method="LSODA",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=collapse,
-        jac=jac,
-    )
-    if sol.status == 1:
-        r_ev = float(sol.t_events[0][0])
-        v_ev = float(sol.y_events[0][0][1])
-        raise ConjugatePointError(r_ev - 1.0 / v_ev)
-    if sol.status != 0:
-        raise IntegrationError(
-            f"curvature IVP failed near r = {sol.t[-1]:.6g}: {sol.message}"
-        )
-
-    dense = sol.sol
-    r_hi = float(r_max)
-
-    def _uv(r):
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        rr = np.atleast_1d(np.clip(r, None, r_hi))
-        u = np.empty_like(rr)
-        v = np.empty_like(rr)
-        small = rr < h0
-        if np.any(small):
-            t = rr[small]
-            p = t - k0 * t**3 / 6.0
-            dp = 1.0 - k0 * t**2 / 2.0
-            u[small] = np.log(p)
-            v[small] = dp / p
-        if np.any(~small):
-            out = dense(rr[~small])
-            u[~small] = out[0]
-            v[~small] = out[1]
-        if scalar:
-            return u[0], v[0]
-        return u, v
+    def rows(r):
+        """(r clipped to r_max, a, b); a and b from the series below h0."""
+        r = np.minimum(np.asarray(r, dtype=float), r_hi)
+        s = np.minimum(r, h0)
+        c = 1.0 - k0 * s * s / 6.0
+        a, b = solution.deviation_rows(np.maximum(r, h0))
+        return r, np.where(r < h0, np.log(c), a), np.where(r < h0, -k0 * s / (3.0 * c), b)
 
     def phi(r):
-        u, _ = _uv(r)
-        return np.exp(u)
-
-    def log_phi(r):
-        u, _ = _uv(r)
-        return u
-
-    def dlog_phi(r):
-        _, v = _uv(r)
-        return v
+        r, a, _ = rows(r)
+        return r * np.exp(a)
 
     def phi_prime(r):
-        u, v = _uv(r)
-        return v * np.exp(u)
+        r, a, b = rows(r)
+        return np.exp(a) * (1.0 + r * b)
 
-    return MetricProfile(
+    def log_phi(r):
+        r, a, _ = rows(r)
+        return a + np.log(r)
+
+    def dlog_phi(r):
+        r, _, b = rows(r)
+        return b + 1.0 / r
+
+    profile = MetricProfile(
         phi=phi,
         phi_prime=phi_prime,
         log_phi=log_phi,
@@ -394,6 +340,9 @@ def profile_from_curvature(
         name=name or getattr(curvature, "name", "") or "curvature-integrated",
         k=lambda r: float(k_fn(r)),
     )
+    # the evaluators above read this pass, solved from the profile's own k
+    solution = modes._ModePass(profile, 0, r_hi, rtol, atol, t0=h0)
+    return profile
 
 
 # ----------------------------------------------------------------------
@@ -492,13 +441,13 @@ def builtin_profile(
     For those three, construction checks the step control, r_max and
     the finiteness of K as ``profile_from_curvature`` does, and sets the
     scalar ``k`` the mode passes integrate from, but solves no profile:
-    the four evaluators run ``profile_from_curvature`` with the same
-    arguments when one of them is first read, and every later read
-    reuses that solve (concurrent first reads may solve twice, to the
-    same result). Commands that read only ``k`` never pay for the
+    the four evaluators run ``profile_from_curvature`` (a dense mode pass)
+    with the same arguments when one of them is first read, and every
+    later read reuses that pass (concurrent first reads may solve twice,
+    to the same result). Commands that read only ``k`` never pay for the
     solve. Built-in K is negative on [0, inf), so phi'' = -K phi > 0 and
     phi has no conjugate point; the only error the deferred solve can
-    raise at the first read is an IntegrationError.
+    raise at the first read is a QuadratureError (an IntegrationError).
     """
     key = name.strip().lower().replace("_", "-")
     if key == "euclidean":

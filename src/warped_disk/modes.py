@@ -38,10 +38,11 @@ rows at its grid nodes beside the modes, ``numeric_evidence`` reads its
 probes from the classify pass, and ``verify_disk_solution`` its grid from
 the dense disk pass. The residual checks difference against those rows
 and check the rows against K(r) through the Riccati equation
-(phi'/phi)' + (phi'/phi)^2 + K = 0 (``profile_residual``). So of the
-commands only ``verify`` reads a profile interpolant, and ``classify``,
-``modes`` and ``bvp`` on a built-in surface solve no profile apart from
-their mode passes.
+(phi'/phi)' + (phi'/phi)^2 + K = 0 (``profile_residual``). Only
+``verify`` reads a profile's evaluators, and those of
+``geometry.profile_from_curvature`` read a dense pass of m = 0: this
+pass is the package's one ODE solve of the profile, and every pass
+raises ConjugatePointError where phi returns to zero.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import numpy as np
 
 from . import _lsoda
 from ._util import write_csv
-from .errors import DomainError, QuadratureError
+from .errors import ConjugatePointError, DomainError, QuadratureError
 from .geometry import MetricProfile, RadialGrid
 from .geometry import solve_ivp  # noqa: F401 -- patched by benchmarks/tracing.py
 from .operators import sample_derivatives, separated_laplacian
@@ -82,6 +83,7 @@ MODE_PASS_MIN_RTOL = RTOL_FLOOR * _TIGHTEN
 BIHARMONIC_MODE_MIN_RTOL = RTOL_FLOOR * _DELIVER * _TIGHTEN
 _BOUND_SAFETY = 8.0     # reported bounds may exceed the request by this factor
 _ORIGIN_FRACTION = 0.5  # integration starts at min(1e-5, r_min * this)
+_BLOWDOWN = 1e6         # phi'/phi below minus this marks the collapse of phi
 
 
 # ----------------------------------------------------------------------
@@ -137,17 +139,29 @@ _LAM = 2
 _W = 3
 
 
-def _require_finite(t, states, what):
-    """Raise at the first radius of ``t`` whose state column is not finite.
+def _dense_outcome(solve):
+    """The dense pass ``solve()`` runs, or the ``Stopped`` it raises."""
+    try:
+        return solve()
+    except _lsoda.Stopped as exc:
+        return exc
 
-    A NaN from K(r) fails no error test, so LSODA carries it to the end
-    of the pass and reports success.
+
+def _raise_if_collapsed(outcome):
+    """Raise ConjugatePointError if phi collapses at a failed dense pass's last accepted step.
+
+    That step is in the pass's ``Stopped``, or is the last finite column
+    of its solution. There phi'/phi < -_BLOWDOWN means phi ~ c (R - r)
+    vanishes just ahead, at R = r - 1/(phi'/phi).
     """
-    bad = ~np.isfinite(states).all(axis=0)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise QuadratureError(f"{what} reached a non-finite state at r = {t[i]:.6g}",
-                              worst_interval=(float(t[max(i - 1, 0)]), float(t[i])))
+    if isinstance(outcome, _lsoda.Stopped):
+        r, state = outcome.reached, outcome.state
+    else:
+        i = int(np.argmin(np.append(np.isfinite(outcome.y).all(axis=0), False))) - 1
+        r, state = outcome.t[i], outcome.y[:, i]
+    v = state[1] + 1.0 / r
+    if v < -_BLOWDOWN:
+        raise ConjugatePointError(r - 1.0 / v)
 
 
 class _ModePass:
@@ -175,12 +189,13 @@ class _ModePass:
 
     Given ``radii`` (in (t0, r_end], any order), one compiled call
     (``_lsoda.at_radii``) steps from each radius to the next and keeps
-    the states there and at r = 1; any subset of those radii reads back
-    exactly, and any other radius is refused. Without ``radii`` the pass
-    keeps a dense solution (``_lsoda.dense``), readable anywhere in
-    [t0, r_end]. Both drive the same LSODA with the same right-hand side,
-    Jacobian and tolerances. A solve that stops, or reaches a non-finite
-    state, raises QuadratureError.
+    the states there and at the anchor r = 1; any subset of those radii
+    reads back exactly, and any other radius is refused. Without
+    ``radii`` the pass keeps a dense solution (``_lsoda.dense``),
+    readable anywhere in [t0, r_end]. Both drive the same LSODA with the
+    same right-hand side, Jacobian and tolerances. A solve that stops,
+    or reaches a non-finite state, raises ConjugatePointError where phi
+    collapses to zero, and QuadratureError otherwise.
 
     ``inner_ratio`` takes the angular frequency m, which may be omitted
     when the pass holds only one.
@@ -198,7 +213,8 @@ class _ModePass:
         r_end = float(r_end)
         if r_end > profile.r_max * (1.0 + 1e-12):
             raise DomainError("mode grid extends beyond the profile's radius of validity")
-        if profile.r_max < 1.0:
+        m_ref = ms[-1]
+        if m_ref and profile.r_max < 1.0:
             raise DomainError("mode normalization at r = 1 needs a profile valid up to r >= 1")
         r_end = min(r_end, profile.r_max)
         if r_end <= 0.0:
@@ -208,7 +224,6 @@ class _ModePass:
         self.ms = tuple(ms)
         self.t0 = t0
         n = len(ms)
-        m_ref = ms[-1]
         self._lam_scale = np.array(ms) / max(m_ref, 1)   # Lambda_m / Lambda_ref per row
         slots = [(k, 2.0 * am) for k, am in enumerate(ms, start=_W)]
         exp = math.exp
@@ -253,27 +268,43 @@ class _ModePass:
         y0 = [math.log(c), -k0 * t0 / (3.0 * c), 0.0,
               *[math.log(t0 / (2.0 + 2.0 * am)) for am in ms],
               *[t0 * t0 / (4.0 + 4.0 * am) for am in ms]]
-        span_end = max(r_end, 1.0)  # Lambda is anchored at r = 1
+        # Lambda is anchored at r = 1; a pass of m = 0 alone needs no anchor
+        anchor = [1.0] if m_ref else []
+        span_end = max([r_end, *anchor])
         rtol = max(rtol, RTOL_FLOOR)
         what = f"mode quadrature for m={', '.join(map(str, ms))}"
         self._radii = None
         if radii is not None:
-            self._radii = np.union1d(np.asarray(radii, dtype=float), 1.0)
+            self._radii = np.union1d(np.asarray(radii, dtype=float), anchor)
             if not (self._radii[0] > t0 and self._radii[-1] <= span_end):
                 raise DomainError(f"mode values only available on ({t0:g}, {span_end:g}]")
+
+        def solve_dense():
+            return _lsoda.dense(rhs, jac, y0, t0, span_end, rtol, atol)
+
+        # a failed pass at named radii reruns densely, since only a dense
+        # pass knows its last accepted step
         try:
             if radii is None:
-                sol = _lsoda.dense(rhs, jac, y0, t0, span_end, rtol, atol)
+                sol = solve_dense()
             else:
                 sol = _lsoda.at_radii(rhs, jac, y0, np.concatenate(([t0], self._radii)),
                                       rtol, atol, tcrit=span_end)
         except _lsoda.Stopped as exc:
+            _raise_if_collapsed(exc if radii is None else _dense_outcome(solve_dense))
             raise QuadratureError(f"{what} stopped: {exc.message}",
                                   worst_interval=(exc.reached, span_end)) from None
-        _require_finite(sol.t, sol.y, what)
+        # a NaN from K(r) fails no error test, so LSODA carries it to the
+        # end of the pass and reports success
+        bad = ~np.isfinite(sol.y).all(axis=0)
+        if np.any(bad):
+            _raise_if_collapsed(sol if radii is None else _dense_outcome(solve_dense))
+            i = int(np.argmax(bad))
+            raise QuadratureError(f"{what} reached a non-finite state at r = {sol.t[i]:.6g}",
+                                  worst_interval=(float(sol.t[max(i - 1, 0)]), float(sol.t[i])))
         self._sol = sol
         # raw Lambda_ref at r = 1, the shift that normalizes phi_m(1) = 1
-        self.lam_at_one = float(self._states(1.0)[_LAM])
+        self.lam_at_one = float(self._states(1.0)[_LAM]) if m_ref else 0.0
 
     def _index(self, m) -> int:
         if m is None:
@@ -314,10 +345,14 @@ class _ModePass:
         out = self._states(r)
         return self._lams(out), out[_W + len(self.ms):]
 
+    def deviation_rows(self, r):
+        """(log(phi/r), phi'/phi - 1/r) at the radii r: the profile states of this pass."""
+        return self._states(r)[:_LAM]
+
     def profile_rows(self, r):
         """(log phi, phi'/phi) at the radii r, as this pass integrated them."""
         r = np.asarray(r, dtype=float)
-        a, b = self._states(r)[:_LAM]
+        a, b = self.deviation_rows(r)
         return a + np.log(r), b + 1.0 / r
 
 

@@ -271,6 +271,15 @@ def test_milnor_tail_without_growth_is_undetermined(euclidean):
     assert any("growth" in n for n in notes)
 
 
+@pytest.mark.parametrize("surface, horizon", [("euclidean", 0.5), ("hyperbolic", 2.0)])
+def test_tail_at_or_beyond_the_horizon_is_reported_unchecked(request, surface, horizon):
+    # both tails start at r0 = 2: no sample lies in (r0, horizon], so none failed
+    report = asy.classify_surface(request.getfixturevalue(surface), horizon=horizon)
+    assert not report.declared_verified
+    assert "declared tail starts at r0 = 2, at or beyond the horizon; not checked" in report.notes
+    assert not any("failed sample verification" in note for note in report.notes)
+
+
 def test_one_sided_upper_bound_leaves_biharmonic_open():
     curv = wd.CurvatureProfile(
         k=lambda r: -np.ones_like(np.asarray(r, dtype=float)),
@@ -284,7 +293,7 @@ def test_one_sided_upper_bound_leaves_biharmonic_open():
 
 def test_fit_gap_near_threshold_gives_no_descriptor():
     fit = asy.TailFit("log_threshold", None, 1.01, 0.001, (10.0, 100.0))
-    assert asy._fit_descriptor(fit, lambda r: -1.0 / np.asarray(r) ** 2, 100.0) is None
+    assert asy._fit_descriptor(fit, lambda r: -1.0 / np.asarray(r) ** 2) is None
 
 
 def _bundle(phi_verdict, z_verdict):

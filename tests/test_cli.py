@@ -17,7 +17,7 @@ POWER = ["--profile", "power-curvature", "--eps", "1", "--mmax", "2"]
 
 def test_modes_on_a_curved_builtin_solves_no_curvature_ivp(tmp_path, monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(geometry, "solve_ivp", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(geometry, "profile_from_curvature", lambda *a, **k: calls.append(a))
     code = cli.main(["modes", *POWER, "--horizon", "5", "--rmax", "10",
                      "--grid", "geometric,1e-3,128", "--out", str(tmp_path)])
     assert code == cli.EXIT_OK
@@ -52,7 +52,7 @@ def test_classify_and_bvp_on_curved_builtins_solve_no_curvature_ivp(tmp_path, mo
                                                                     argv):
     # both read the profile from their own mode pass, never an evaluator
     calls = []
-    monkeypatch.setattr(geometry, "solve_ivp", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(geometry, "profile_from_curvature", lambda *a, **k: calls.append(a))
     if argv[0] == "bvp":
         argv = [*argv, _trace_file(tmp_path)]
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
@@ -74,6 +74,7 @@ runs["modes"] = ["modes", "--profile", "power-curvature", "--eps", "1", "--horiz
                  "--mmax", "2", "--grid", "geometric,1e-3,64"]
 runs["bvp"] = ["bvp", "--profile", "power-curvature", "--eps", "1", "--radius", "3",
                str(out / "trace.csv")]
+runs["verify"] = ["verify"]
 for label, argv in runs.items():
     assert cli.main([*argv, "--out", str(out / label)]) == 0, label
     loaded[label] = sorted(name for name in NAMES if name in sys.modules)
@@ -82,8 +83,9 @@ print(loaded, file=sys.stderr)
 
 
 def test_no_command_loads_scipy_integrate_special_or_optimize(tmp_path):
-    # the mode passes run LSODA from the compiled extension alone; the
-    # scipy subpackages that scipy.integrate would pull in stay unloaded
+    # every ODE, verify's included, runs LSODA from the compiled extension
+    # alone; the scipy subpackages that scipy.integrate would pull in stay
+    # unloaded
     _trace_file(tmp_path)
     names = ("scipy.integrate", "scipy.special", "scipy.optimize")
     env = dict(os.environ)
@@ -93,7 +95,7 @@ def test_no_command_loads_scipy_integrate_special_or_optimize(tmp_path):
                            str(tmp_path)], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     loaded = ast.literal_eval(proc.stderr.strip().splitlines()[-1])
-    assert len(loaded) == 8
+    assert len(loaded) == 9
     assert loaded == {label: [] for label in loaded}
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import warped_disk as wd
-from warped_disk import geometry
+from warped_disk import _lsoda, geometry
 from warped_disk.geometry import RadialGrid, read_profile_file
 from warped_disk.operators import sample_derivatives
 
@@ -111,6 +111,13 @@ def test_ivp_flat():
         assert_allclose(float(prof.phi(r)), r, rtol=1e-8)
 
 
+def test_ivp_ending_below_unit_radius():
+    # the profile pass holds m = 0 alone, which needs no anchor at r = 1
+    prof = wd.profile_from_curvature(lambda r: -1.0, r_max=0.5)
+    for r in (1e-7, 0.1, 0.5):
+        assert_allclose(float(prof.phi(r)), math.sinh(r), rtol=1e-8)
+
+
 def test_ivp_hyperbolic():
     prof = wd.profile_from_curvature(lambda r: -1.0, r_max=6.0)
     for r in (0.5, 1.0, 5.0):
@@ -185,15 +192,16 @@ _CURVED = [
 
 @pytest.fixture
 def ivp_calls(monkeypatch):
-    """Counts the curvature IVPs solved through geometry.solve_ivp."""
+    """Counts the profile passes: dense LSODA passes started at geometry.ORIGIN_STEP."""
     calls = []
-    solve_ivp = geometry.solve_ivp
+    dense = _lsoda.dense
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return solve_ivp(*args, **kwargs)
+    def counted(rhs, jac, y0, t0, *args):
+        if t0 == geometry.ORIGIN_STEP:
+            calls.append(t0)
+        return dense(rhs, jac, y0, t0, *args)
 
-    monkeypatch.setattr(geometry, "solve_ivp", counted)
+    monkeypatch.setattr(_lsoda, "dense", counted)
     return calls
 
 

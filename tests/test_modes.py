@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
 import warped_disk as wd
-from warped_disk import modes
+from warped_disk import _lsoda, modes
 from warped_disk.geometry import RadialGrid
 from warped_disk.modes import export_mode_csv, mode_pass
 from warped_disk.operators import separated_laplacian
@@ -283,20 +283,50 @@ def test_non_finite_curvature_raises_at_its_radius(euclidean, path):
     assert lo <= 5.0 < hi <= 10.0
 
 
+def _run_pass(path, metric):
+    if path == "kept":
+        wd.biharmonic_mode(metric, 2, RadialGrid.geometric(0.1, 50.0, 20))
+    else:
+        mode_pass(metric, [1, 2], 50.0)
+
+
 @pytest.mark.parametrize("path", ["kept", "dense"])
-def test_stopped_pass_raises_without_a_warning(euclidean, path):
-    # K = 1e6 makes phi oscillate with period 2 pi / 1000: LSODA gives up
-    # near its first zero, r = pi/1000, and says why in the error alone
+def test_stopped_pass_raises_without_a_warning(euclidean, path, monkeypatch):
+    # K = 1e6 makes phi oscillate with period 2 pi / 1000: its first zero,
+    # r = pi/1000, is a conjugate point, named in the error alone
     stiff = dataclasses.replace(euclidean.metric, k=lambda r: 1e6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        with pytest.raises(wd.ConjugatePointError) as info:
+            _run_pass(path, stiff)
+        assert info.value.radius == pytest.approx(math.pi / 1000.0, rel=1e-6)
+
+        # a stop where phi is not collapsing keeps LSODA's reason
+        def stop(*args, **kwargs):
+            raise _lsoda.Stopped(-5, 7.0, np.zeros(7))
+
+        monkeypatch.setattr(_lsoda, "at_radii", stop)
+        monkeypatch.setattr(_lsoda, "dense", stop)
         with pytest.raises(wd.QuadratureError, match="convergence failures") as info:
-            if path == "kept":
-                wd.biharmonic_mode(stiff, 2, RadialGrid.geometric(0.1, 50.0, 20))
-            else:
-                mode_pass(stiff, [1, 2], 50.0)
-    lo, hi = info.value.worst_interval
-    assert lo == pytest.approx(math.pi / 1000.0, rel=0.01) and hi == 50.0
+            _run_pass(path, euclidean.metric)
+    assert info.value.worst_interval == (7.0, 50.0)
+
+
+@pytest.mark.parametrize("k", [1.0, 1e6])
+@pytest.mark.parametrize("path", ["radii", "dense", "biharmonic_mode"])
+def test_every_pass_names_the_conjugate_point(euclidean, path, k):
+    # phi = sin(sqrt(K) r) / sqrt(K) returns to zero at pi / sqrt(K)
+    first_zero = math.pi / math.sqrt(k)
+    sphere = dataclasses.replace(euclidean.metric, k=lambda r: k)
+    nodes = np.geomspace(0.1 * first_zero, 1.6 * first_zero, 20)
+    with pytest.raises(wd.ConjugatePointError) as info:
+        if path == "radii":
+            mode_pass(sphere, [0, 1], nodes[-1], radii=nodes)
+        elif path == "dense":
+            mode_pass(sphere, [1, 2], nodes[-1])
+        else:
+            wd.biharmonic_mode(sphere, range(3), RadialGrid(nodes))
+    assert info.value.radius == pytest.approx(first_zero, rel=1e-6)
 
 
 def test_biharmonic_mode_return_shape(euclidean):
