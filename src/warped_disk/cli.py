@@ -5,13 +5,20 @@ Subcommands:
   classify   regime labels with declared-tail and numeric evidence
   modes      per-m mode tables as CSV plus a residual summary
   bvp        solve the disk problem from a boundary trace CSV
-  verify     run the built-in verification suites
+  verify     run the built-in verification suites at fixed tolerances
   profiles   list the built-in surfaces
 
-Options can come from a config file (flat key-value text with one
-section per module); command-line flags override file values. All
-output files are deterministic: identical configs produce byte-identical
-CSV and report files.
+Each command takes only the flags it reads (``_OPTIONS``). classify,
+modes and bvp read the surface (--profile --eps --eta --r0 --rmax),
+--mmax (classify accepts and ignores it) and --tol; classify and modes
+--horizon; modes --grid; bvp --radius. verify reads --horizon alone,
+besides the hidden --inject-fault stencil. All four read --config and
+--out. Any other flag, or an --eps, --eta or --r0 the built-in does not
+take, is a usage error (exit 64). A config file (flat key-value text,
+one section per module) serves every command, so it may set fields a
+command does not read; flags override its values. All output files are
+deterministic: identical configs produce byte-identical CSV and report
+files.
 
 Importing this module loads only the layers every command runs
 (``geometry``, ``modes`` with ``operators`` and ``_lsoda``, ``_util``
@@ -31,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _lsoda, geometry, modes, operators
+from . import _lsoda, geometry, modes
 from ._util import fmt17, read_key_values, write_csv
 from .errors import DomainError, WarpedDiskError
 
@@ -51,8 +58,8 @@ _EXIT_MEANINGS = (
 )
 
 _DOUBLE_MIN_RTOL = 100.0 * float(np.finfo(float).eps) * 1e-3   # below double precision
-# The smallest rtol each command accepts: below it, a mode pass the
-# command runs would clamp its rtol to modes.RTOL_FLOOR. classify and bvp
+# The smallest rtol each command that reads --tol accepts: below it, a mode
+# pass it runs would clamp its rtol to modes.RTOL_FLOOR. classify and bvp
 # run mode_pass; the reference pass of modes runs 32 times tighter still.
 _MIN_RTOL = {
     "classify": modes.MODE_PASS_MIN_RTOL,
@@ -136,40 +143,22 @@ def load_config_file(path) -> dict:
 
 
 def build_config(args) -> RunConfig:
+    """The run's settings: defaults, then ``--config``, then the command's flags."""
+    reads = {dest for _, dest, _, _, commands in _OPTIONS if args.command in commands}
+    given = {dest: getattr(args, dest) for dest in reads if getattr(args, dest) is not None}
     cfg = RunConfig()
-    if getattr(args, "config", None):
-        cfg = replace(cfg, **load_config_file(args.config))
-    overrides = {}
-    for flag, fieldname in (
-        ("profile", "profile"),
-        ("eps", "eps"),
-        ("eta", "eta"),
-        ("r0", "r0"),
-        ("rmax", "r_max"),
-        ("horizon", "horizon"),
-        ("mmax", "m_max"),
-        ("out", "out_dir"),
-        ("radius", "radius"),
-        ("inject_fault", "inject_fault"),
-    ):
-        val = getattr(args, flag, None)
-        if val is not None:
-            overrides[fieldname] = val
-    if getattr(args, "grid", None):
-        parts = args.grid.split(",")
-        if len(parts) != 3:
-            raise DomainError("--grid expects KIND,R_MIN,N")
-        overrides["grid_kind"] = parts[0].strip()
-        overrides["grid_min"] = float(parts[1])
-        overrides["grid_n"] = int(parts[2])
-    if getattr(args, "tol", None):
-        parts = args.tol.split(",")
-        if len(parts) != 2:
-            raise DomainError("--tol expects RTOL,ATOL")
-        overrides["rtol"] = float(parts[0])
-        overrides["atol"] = float(parts[1])
-    cfg = replace(cfg, **overrides)
-    cfg.validate(reads_horizon=args.command in ("classify", "modes"))
+    if "config" in given:
+        cfg = replace(cfg, **load_config_file(given.pop("config")))
+    for dest, (usage, parts) in _COMPOSITE.items():
+        if dest in given:
+            values = given.pop(dest).split(",")
+            if len(values) != len(parts):
+                raise DomainError(f"--{dest} expects {usage}")
+            given.update((fieldname, parse(value)) for (fieldname, parse), value
+                         in zip(parts, values))
+    cfg = replace(cfg, **given)
+    # the horizon is held to r_max only where it is read on the configured surface
+    cfg.validate(reads_horizon={"horizon", "r_max"} <= reads)
     return cfg
 
 
@@ -192,7 +181,6 @@ def _surface(cfg: RunConfig) -> geometry.Surface:
         eta=cfg.eta,
         r0=cfg.r0,
         r_max=_BUILTIN_R_MAX if cfg.r_max is None else cfg.r_max,
-        step_control=(min(cfg.rtol, geometry.DEFAULT_RTOL), min(cfg.atol, geometry.DEFAULT_ATOL)),
     )
 
 
@@ -204,9 +192,9 @@ def _tolerance_refusal(cfg: RunConfig, command: str) -> str | None:
     """
     if cfg.rtol < _DOUBLE_MIN_RTOL or cfg.atol < 1e-15:
         return "requested tolerances are below what double precision supports"
-    min_rtol = _MIN_RTOL.get(command)
+    min_rtol = _MIN_RTOL[command]
     # isclose: the floor times the tightening factor rounds one ulp above 1e-11
-    if min_rtol is not None and cfg.rtol < min_rtol and not math.isclose(cfg.rtol, min_rtol):
+    if cfg.rtol < min_rtol and not math.isclose(cfg.rtol, min_rtol):
         return (f"rtol {cfg.rtol:g} is below {min_rtol:g}, the smallest {command} accepts; "
                 f"a mode pass it runs would be clamped to rtol {modes.RTOL_FLOOR:g}")
     return None
@@ -311,43 +299,43 @@ def cmd_bvp(cfg: RunConfig, trace_path: str) -> int:
 # ----------------------------------------------------------------------
 
 def _suite_stencil(cfg: RunConfig, out: Path) -> tuple[bool, list[str]]:
-    """Residual second-order convergence plus profile self-consistency."""
+    """Residual second-order convergence plus the profile rows against K.
+
+    The profile line checks the rows of the finest m = 1 pass against K
+    through v' + v^2 + K = 0 (``ResidualReport.profile``). The stencil
+    fault checks them against a K the pass did not integrate.
+    """
     lines = []
     ok = True
     rows = []
-    surfaces = [geometry.builtin_profile("euclidean"), geometry.builtin_profile("hyperbolic")]
-    for surface in surfaces:
-        metric, k = surface.metric, surface.curvature.k
+    for surface in (geometry.builtin_profile("euclidean"), geometry.builtin_profile("hyperbolic")):
+        metric = surface.metric
         if cfg.inject_fault == "stencil" and surface.name == "euclidean":
-            metric = replace(metric, name="euclidean(faulted)")
-            k = lambda r: -0.3 / r   # phi'' = 0.3 where the metric has 0
-        # phi'' = -K phi against differenced phi'
-        x = np.linspace(1.0, 2.0, 201)
-        d1, _ = operators.sample_derivatives(x, np.asarray(metric.phi_prime(x), dtype=float))
-        phi_second = -np.asarray(k(x), dtype=float) * np.asarray(metric.phi(x), dtype=float)
-        mism = float(np.max(np.abs(d1 - phi_second)))
-        limit = 1e-4
-        cons_ok = mism <= limit
-        ok &= cons_ok
-        lines.append(
-            f"stencil: {metric.name} phi'' consistency max|d(phi')/dr - phi''| = "
-            f"{mism:.3e} ({'ok' if cons_ok else 'FAIL'})"
-        )
+            metric = replace(metric, name="euclidean(faulted)", k=lambda r: -0.3 / r)
+        conv_lines = []
         for m in (1, 3):
-            maxima = []
+            reps = []
             for n in (65, 129, 257):
                 grid = geometry.RadialGrid.uniform(1.0, 2.0, n)
                 bmode = modes.biharmonic_mode(surface.metric, m, grid)
-                maxima.append(modes.verify_mode_residuals(metric, bmode).biharmonic)
+                reps.append(modes.verify_mode_residuals(metric, bmode))
+            if m == 1:
+                profile = reps[-1].profile
+            maxima = [rep.biharmonic for rep in reps]
             ratios = [maxima[i] / maxima[i + 1] for i in range(len(maxima) - 1)]
             conv_ok = maxima[-1] <= 1e-8 or all(3.3 <= q <= 4.7 for q in ratios)
             ok &= conv_ok
             rows.append((surface.name, m, *(float(v) for v in maxima), float(ratios[0]), float(ratios[1])))
-            lines.append(
+            conv_lines.append(
                 f"stencil: {metric.name} m={m} residual maxima "
                 + ", ".join(f"{v:.3e}" for v in maxima)
                 + f" ratios {ratios[0]:.2f}, {ratios[1]:.2f} ({'ok' if conv_ok else 'FAIL'})"
             )
+        profile_ok = profile <= 1e-4
+        ok &= profile_ok
+        lines.append(f"stencil: {metric.name} profile rows max|v' + v^2 + K| = "
+                     f"{profile:.3e} ({'ok' if profile_ok else 'FAIL'})")
+        lines.extend(conv_lines)
     write_csv(out / "residual_convergence.csv",
               ["profile", "m", "res_n65", "res_n129", "res_n257", "ratio_1", "ratio_2"],
               list(zip(*rows)))
@@ -503,29 +491,44 @@ def cmd_profiles() -> int:
 # ----------------------------------------------------------------------
 
 def _tol_help(command: str) -> str:
-    min_rtol = _MIN_RTOL.get(command, _DOUBLE_MIN_RTOL)
-    return (f"quadrature tolerances as RTOL,ATOL; an rtol below {min_rtol:.2g} or an "
-            f"atol below 1e-15 exits {EXIT_INFEASIBLE}")
+    return (f"quadrature tolerances as RTOL,ATOL; an rtol below {_MIN_RTOL[command]:.2g} or "
+            f"an atol below 1e-15 exits {EXIT_INFEASIBLE}")
 
 
-def _add_common(parser: argparse.ArgumentParser, command: str) -> None:
-    parser.add_argument("--config", help="config file (key = value, sections per module)")
-    parser.add_argument("--profile", help="built-in name or profile definition file")
-    parser.add_argument("--eps", type=float, help="tail exponent parameter")
-    parser.add_argument("--eta", type=float, help="quadratic tail coefficient")
-    parser.add_argument("--r0", type=float, help="radius where the declared tail starts")
-    parser.add_argument("--rmax", type=float, help="radius of validity for integration")
-    parser.add_argument("--horizon", type=float, help="largest radius used for evidence")
-    parser.add_argument("--mmax", type=int, help="largest |m| used (classify ignores it)")
-    parser.add_argument("--grid", help="grid as KIND,R_MIN,N (kind: uniform|geometric)")
-    parser.add_argument("--tol", help=_tol_help(command))
-    parser.add_argument("--out", help="output directory")
+_ALL = ("classify", "modes", "bvp", "verify")
+_SURFACE = ("classify", "modes", "bvp")   # the commands that build the configured surface
+# Every flag: (flag, RunConfig field and argparse dest, type, help, the
+# commands that read it); a command's parser holds its own rows alone. A
+# tuple type lists the accepted values; a callable help takes the command.
+# --config names a file of fields; --grid and --tol set several (_COMPOSITE).
+_OPTIONS = (
+    ("--config", "config", str, "config file (key = value, sections per module)", _ALL),
+    ("--profile", "profile", str, "built-in name or profile definition file", _SURFACE),
+    ("--eps", "eps", float, "tail exponent parameter", _SURFACE),
+    ("--eta", "eta", float, "quadratic tail coefficient", _SURFACE),
+    ("--r0", "r0", float, "radius where the declared tail starts", _SURFACE),
+    ("--rmax", "r_max", float, "radius of validity for integration", _SURFACE),
+    ("--horizon", "horizon", float, "largest radius used for evidence",
+     ("classify", "modes", "verify")),
+    ("--mmax", "m_max", int, "largest |m| used (classify ignores it)", _SURFACE),
+    ("--grid", "grid", str, "grid as KIND,R_MIN,N (kind: uniform|geometric)", ("modes",)),
+    ("--tol", "tol", str, _tol_help, tuple(_MIN_RTOL)),
+    ("--radius", "radius", float, "disk radius the trace lives on", ("bvp",)),
+    ("--out", "out_dir", str, "output directory", _ALL),
+    ("--inject-fault", "inject_fault", ("stencil",), argparse.SUPPRESS, ("verify",)),
+)
+# dest -> (usage, (RunConfig field, parser) per comma-separated part)
+_COMPOSITE = {
+    "grid": ("KIND,R_MIN,N", (("grid_kind", str.strip), ("grid_min", float), ("grid_n", int))),
+    "tol": ("RTOL,ATOL", (("rtol", float), ("atol", float))),
+}
 
 
 class _Parser(argparse.ArgumentParser):
     # usage problems exit with 64, matching the config-error contract
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -539,22 +542,18 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", help="label the harmonic and biharmonic regimes")
-    _add_common(p, "classify")
-
-    p = sub.add_parser("modes", help="write per-m mode CSV files")
-    _add_common(p, "modes")
-
-    p = sub.add_parser("bvp", help="solve the disk problem from a trace CSV")
-    _add_common(p, "bvp")
-    p.add_argument("trace", help="CSV file with columns theta,u,lap_u")
-    p.add_argument("--radius", type=float, help="disk radius the trace lives on")
-
-    p = sub.add_parser("verify", help="run the verification suites")
-    _add_common(p, "verify")
-    p.add_argument("--inject-fault", dest="inject_fault", default=None,
-                   help=argparse.SUPPRESS)
-
+    for command, text in (("classify", "label the harmonic and biharmonic regimes"),
+                          ("modes", "write per-m mode CSV files"),
+                          ("bvp", "solve the disk problem from a trace CSV"),
+                          ("verify", "run the verification suites")):
+        p = sub.add_parser(command, help=text)
+        if command == "bvp":
+            p.add_argument("trace", help="CSV file with columns theta,u,lap_u")
+        for flag, dest, kind, flag_help, commands in _OPTIONS:
+            if command in commands:
+                p.add_argument(
+                    flag, dest=dest, help=flag_help(command) if callable(flag_help) else flag_help,
+                    **({"choices": kind} if isinstance(kind, tuple) else {"type": kind}))
     sub.add_parser("profiles", help="list built-in profiles")
     return parser
 
@@ -569,14 +568,9 @@ def main(argv=None) -> int:
     except (DomainError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    refusal = _tolerance_refusal(cfg, args.command)
+    refusal = _tolerance_refusal(cfg, args.command) if args.command in _MIN_RTOL else None
     if refusal is not None:
-        line = f"{args.command}: tolerance-infeasible ({refusal})"
-        if args.command == "verify":
-            (_outdir(cfg) / "verify_report.txt").write_text(line + "\n")
-            print(line)
-        else:
-            print(line, file=sys.stderr)
+        print(f"{args.command}: tolerance-infeasible ({refusal})", file=sys.stderr)
         return EXIT_INFEASIBLE
     try:
         if args.command == "classify":

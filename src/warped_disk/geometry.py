@@ -200,18 +200,12 @@ class MetricProfile:
     a float (no numpy, so a right-hand side can call it every step). The
     mode passes integrate phi from it together with the modes and read
     none of the four evaluators; the evidence probes and both residual
-    checks read the passes' own profile rows. So ``classify``, ``modes``
-    and ``bvp`` read no evaluator. They remain for the ``verify`` suites
-    (the stencil suite's phi'' consistency check and the round trip)
-    and for explicit reads by library callers. A profile without ``k``
-    serves only those reads; mode passes refuse it.
-
-    The evaluators of a curvature-integrated built-in run its profile's
-    dense mode pass when one of them is first read and reuse it after (see
-    ``builtin_profile``); a profile that is never read costs no solve.
-    Threads that read such a profile for the first time at once may each
-    run the same solve; every run gives the same profile, so the race
-    is harmless.
+    checks read the passes' own profile rows. So no command reads a
+    built-in's evaluators. They remain for explicit reads: by library
+    callers, and by ``verify``'s round trip, which reads those of two
+    ``profile_from_curvature`` profiles. A profile without ``k`` serves
+    only such reads; mode passes refuse it. A curved built-in solves its
+    profile at the first read of an evaluator (see ``builtin_profile``).
     """
 
     phi: Callable
@@ -281,38 +275,33 @@ def _check_curvature_ivp(k_fn: Callable, r_max: float,
 solve_ivp = None  # patched by benchmarks/tracing.py; every ODE runs through _lsoda
 
 
-def profile_from_curvature(
-    curvature,
-    r_max: float,
-    step_control: tuple[float, float] = (DEFAULT_RTOL, DEFAULT_ATOL),
-    name: str = "",
-) -> MetricProfile:
-    """Integrate phi'' = -K phi with phi(0) = 0, phi'(0) = 1.
+def _pass_profile(k: Callable, r_max: float, rtol: float, atol: float,
+                  name: str) -> tuple[MetricProfile, Callable]:
+    """A profile whose evaluators read one dense mode pass of m = 0, and its solve.
 
-    One dense mode pass of m = 0 (``modes._ModePass``) at ``step_control``
+    ``solution()`` runs the pass at its first call, which the first read
+    of an evaluator makes, and returns the same pass after. The pass
     carries (a, b) = (log(phi/r), phi'/phi - 1/r) from h0 = ORIGIN_STEP,
-    seeded by the series phi ~ h0 - K(0) h0^3/6; K = 0 keeps both exactly
-    0. The evaluators give phi = r e^a, phi' = e^a (1 + r b),
+    seeded by the series phi ~ h0 - K(0) h0^3/6; K = 0 keeps both 0.
+    The evaluators give phi = r e^a, phi' = e^a (1 + r b),
     log phi = a + log r and phi'/phi = b + 1/r, the series below h0, and
-    radii beyond r_max read at r_max.
-
-    Raises ConjugatePointError when phi collapses to zero at some
-    positive radius, and a QuadratureError (an IntegrationError) when the
-    solver gives up.
+    read radii beyond r_max at r_max.
     """
     from . import modes   # modes imports this module
 
-    k_fn = _as_curvature_callable(curvature)
-    rtol, atol = _check_curvature_ivp(k_fn, r_max, step_control)
     h0, r_hi = ORIGIN_STEP, float(r_max)
-    k0 = float(k_fn(0.0))
+    k0 = k(0.0)
+
+    @functools.cache
+    def solution():
+        return modes._ModePass(profile, 0, r_hi, rtol, atol, t0=h0)
 
     def rows(r):
         """(r clipped to r_max, a, b); a and b from the series below h0."""
         r = np.minimum(np.asarray(r, dtype=float), r_hi)
         s = np.minimum(r, h0)
         c = 1.0 - k0 * s * s / 6.0
-        a, b = solution.deviation_rows(np.maximum(r, h0))
+        a, b = solution().deviation_rows(np.maximum(r, h0))
         return r, np.where(r < h0, np.log(c), a), np.where(r < h0, -k0 * s / (3.0 * c), b)
 
     def phi(r):
@@ -331,17 +320,30 @@ def profile_from_curvature(
         r, _, b = rows(r)
         return b + 1.0 / r
 
-    profile = MetricProfile(
-        phi=phi,
-        phi_prime=phi_prime,
-        log_phi=log_phi,
-        dlog_phi=dlog_phi,
-        r_max=r_hi,
-        name=name or getattr(curvature, "name", "") or "curvature-integrated",
-        k=lambda r: float(k_fn(r)),
-    )
-    # the evaluators above read this pass, solved from the profile's own k
-    solution = modes._ModePass(profile, 0, r_hi, rtol, atol, t0=h0)
+    profile = MetricProfile(phi=phi, phi_prime=phi_prime, log_phi=log_phi, dlog_phi=dlog_phi,
+                            r_max=r_hi, name=name, k=k)
+    return profile, solution
+
+
+def profile_from_curvature(
+    curvature,
+    r_max: float,
+    step_control: tuple[float, float] = (DEFAULT_RTOL, DEFAULT_ATOL),
+    name: str = "",
+) -> MetricProfile:
+    """Integrate phi'' = -K phi with phi(0) = 0, phi'(0) = 1.
+
+    One dense mode pass of m = 0 at ``step_control``, solved here and
+    read by the evaluators (``_pass_profile``). Raises ConjugatePointError
+    when phi collapses to zero at some positive radius, and a
+    QuadratureError (an IntegrationError) when the solver gives up.
+    """
+    k_fn = _as_curvature_callable(curvature)
+    rtol, atol = _check_curvature_ivp(k_fn, r_max, step_control)
+    profile, solution = _pass_profile(
+        lambda r: float(k_fn(r)), r_max, rtol, atol,
+        name or getattr(curvature, "name", "") or "curvature-integrated")
+    solution()
     return profile
 
 
@@ -420,6 +422,11 @@ def _blended_curvature(tail: Callable, r0: float) -> Callable:
     return k
 
 
+# the parameters each built-in family takes; any other is refused
+_BUILTIN_PARAMS = {"euclidean": (), "hyperbolic": (), "log-threshold": ("eps", "r0"),
+                   "power-curvature": ("eps", "r0"), "quadratic-curvature": ("eta", "r0")}
+
+
 def builtin_profile(
     name: str,
     eps: float | None = None,
@@ -430,26 +437,38 @@ def builtin_profile(
 ) -> Surface:
     """Construct one of the named surfaces.
 
-    euclidean / hyperbolic come with closed-form warp functions. The
-    three curvature families are built from a capped-and-blended tail
-    and integrated:
+    euclidean / hyperbolic come with closed-form warp functions and take
+    no parameter; they are valid to ANALYTIC_R_MAX whatever r_max says,
+    and step_control does not apply to them. The three curvature
+    families are built from a capped-and-blended tail and integrated:
 
       log-threshold(eps, r0)       K -> -(1+eps)/(r^2 log r),  r0 >= 2
       power-curvature(eps, r0)     K -> -r^(2+eps)
       quadratic-curvature(eta, r0) K -> -eta r^2
 
+    A parameter the family does not take (eps, eta or r0 outside its
+    parentheses above) is a DomainError, as is an unknown name.
+
     For those three, construction checks the step control, r_max and
     the finiteness of K as ``profile_from_curvature`` does, and sets the
     scalar ``k`` the mode passes integrate from, but solves no profile:
-    the four evaluators run ``profile_from_curvature`` (a dense mode pass)
-    with the same arguments when one of them is first read, and every
-    later read reuses that pass (concurrent first reads may solve twice,
-    to the same result). Commands that read only ``k`` never pay for the
-    solve. Built-in K is negative on [0, inf), so phi'' = -K phi > 0 and
-    phi has no conjugate point; the only error the deferred solve can
-    raise at the first read is a QuadratureError (an IntegrationError).
+    the first read of an evaluator runs the pass ``profile_from_curvature``
+    would, and later reads reuse it (concurrent first reads may solve
+    twice, to the same result). Commands read only ``k``. Built-in K is
+    negative, so phi has no conjugate point; the deferred solve can only
+    raise a QuadratureError (an IntegrationError).
     """
     key = name.strip().lower().replace("_", "-")
+    if key not in _BUILTIN_PARAMS:
+        raise DomainError(f"unknown built-in profile {name!r}")
+    extra = [p for p, v in (("eps", eps), ("eta", eta), ("r0", r0))
+             if v is not None and p not in _BUILTIN_PARAMS[key]]
+    if extra:
+        takes = ", ".join(_BUILTIN_PARAMS[key]) or "no parameter"
+        raise DomainError(f"{key} does not take {' or '.join(extra)} (it takes {takes})")
+    for param, value in (("eps", eps), ("eta", eta)):
+        if param in _BUILTIN_PARAMS[key] and (value is None or value <= 0.0):
+            raise DomainError(f"{key} needs {param} > 0")
     if key == "euclidean":
         metric = _euclidean_profile()
         curv = CurvatureProfile(
@@ -468,10 +487,10 @@ def builtin_profile(
         )
         return Surface("hyperbolic", metric, curv)
 
+    r0 = (2.0 if key == "log-threshold" else 1.0) if r0 is None else float(r0)
+    if r0 <= 0.0:
+        raise DomainError(f"{key} needs r0 > 0")
     if key == "log-threshold":
-        if eps is None or eps <= 0.0:
-            raise DomainError("log-threshold needs eps > 0")
-        r0 = 2.0 if r0 is None else float(r0)
         if r0 < 2.0:
             raise DomainError("log-threshold needs r0 >= 2 (the tail is singular at log r = 0)")
         e = float(eps)
@@ -484,11 +503,6 @@ def builtin_profile(
         declared = TailDescriptor("between", r0=r0 + 1.0, eps=e, eta=1.0)
         label = f"log-threshold(eps={e:g}, r0={r0:g})"
     elif key == "power-curvature":
-        if eps is None or eps <= 0.0:
-            raise DomainError("power-curvature needs eps > 0")
-        r0 = 1.0 if r0 is None else float(r0)
-        if r0 <= 0.0:
-            raise DomainError("power-curvature needs r0 > 0")
         e = float(eps)
 
         def tail(r):
@@ -496,12 +510,7 @@ def builtin_profile(
 
         declared = TailDescriptor("le_power", r0=max(r0, 1.0 + 1e-6), eps=e)
         label = f"power-curvature(eps={e:g}, r0={r0:g})"
-    elif key == "quadratic-curvature":
-        if eta is None or eta <= 0.0:
-            raise DomainError("quadratic-curvature needs eta > 0")
-        r0 = 1.0 if r0 is None else float(r0)
-        if r0 <= 0.0:
-            raise DomainError("quadratic-curvature needs r0 > 0")
+    else:   # quadratic-curvature
         et = float(eta)
 
         def tail(r):
@@ -514,31 +523,13 @@ def builtin_profile(
             r_decl *= 1.05
         declared = TailDescriptor("between", r0=r_decl, eps=1.0, eta=et)
         label = f"quadratic-curvature(eta={et:g}, r0={r0:g})"
-    else:
-        raise DomainError(f"unknown built-in profile {name!r}")
 
-    # one scalar K drives the profile IVP (and, through MetricProfile.k,
+    # one scalar K drives the profile pass (and, through MetricProfile.k,
     # the mode passes); the curvature's array form maps it over its input
     k = _blended_curvature(tail, r0)
     curv = CurvatureProfile(k=np.vectorize(k, otypes=[float]), tail=declared, name=label)
-    _check_curvature_ivp(k, r_max, step_control)
-
-    @functools.cache
-    def solved() -> MetricProfile:
-        return profile_from_curvature(k, r_max=r_max, step_control=step_control, name=label)
-
-    def evaluator(field: str) -> Callable:
-        return lambda r: getattr(solved(), field)(r)
-
-    metric = MetricProfile(
-        phi=evaluator("phi"),
-        phi_prime=evaluator("phi_prime"),
-        log_phi=evaluator("log_phi"),
-        dlog_phi=evaluator("dlog_phi"),
-        r_max=float(r_max),
-        name=label,
-        k=k,
-    )
+    rtol, atol = _check_curvature_ivp(k, r_max, step_control)
+    metric, _ = _pass_profile(k, r_max, rtol, atol, label)
     return Surface(label, metric, curv)
 
 

@@ -38,11 +38,12 @@ rows at its grid nodes beside the modes, ``numeric_evidence`` reads its
 probes from the classify pass, and ``verify_disk_solution`` its grid from
 the dense disk pass. The residual checks difference against those rows
 and check the rows against K(r) through the Riccati equation
-(phi'/phi)' + (phi'/phi)^2 + K = 0 (``profile_residual``). Only
-``verify`` reads a profile's evaluators, and those of
-``geometry.profile_from_curvature`` read a dense pass of m = 0: this
-pass is the package's one ODE solve of the profile, and every pass
-raises ConjugatePointError where phi returns to zero.
+(phi'/phi)' + (phi'/phi)^2 + K = 0 (``profile_residual``). No command
+reads a built-in's profile evaluators; those of
+``geometry.profile_from_curvature`` and the curved built-ins read a
+dense pass of m = 0: this pass is the package's one ODE solve of the
+profile, and every pass raises ConjugatePointError where phi returns
+to zero.
 """
 
 from __future__ import annotations
@@ -182,9 +183,10 @@ class _ModePass:
     exactly the per-frequency (Lambda_m, log w, z) system.
 
     The profile starts from the origin series phi(t) ~ t - K(0) t^3/6 at
-    t0. Lambda is integrated from t0 with Lambda(t0) = 0 and shifted so
-    that Lambda(1) = 0 afterwards; w and z are invariant under that
-    shift. The mode seed uses phi(t) ~ t on [0, t0]: the inner integrand
+    t0 (if K(0) t0^2 >= 6, the pass raises ConjugatePointError at
+    pi/sqrt(K(0))). Lambda is integrated from t0 with Lambda(t0) = 0 and
+    shifted so that Lambda(1) = 0 afterwards; w and z are invariant under
+    that shift. The mode seed uses phi(t) ~ t on [0, t0]: the inner integrand
     behaves like t^(1+2|m|), so w(t0) = t0/(2+2|m|) and z(t0) = t0^2/(4+4|m|).
 
     Given ``radii`` (in (t0, r_end], any order), one compiled call
@@ -265,6 +267,8 @@ class _ModePass:
 
         k0 = k_of(0.0)
         c = 1.0 - k0 * t0 * t0 / 6.0     # phi(t0) / t0 from the origin series
+        if c <= 0.0:   # phi vanishes before t0, at pi/sqrt(K(0)) for the K(0) the series assumes
+            raise ConjugatePointError(math.pi / math.sqrt(k0))
         y0 = [math.log(c), -k0 * t0 / (3.0 * c), 0.0,
               *[math.log(t0 / (2.0 + 2.0 * am)) for am in ms],
               *[t0 * t0 / (4.0 + 4.0 * am) for am in ms]]

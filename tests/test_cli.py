@@ -1,9 +1,11 @@
 import ast
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -99,11 +101,112 @@ def test_no_command_loads_scipy_integrate_special_or_optimize(tmp_path):
     assert loaded == {label: [] for label in loaded}
 
 
-def test_verify_infeasible_tolerance_has_its_own_exit_code(tmp_path):
-    assert cli.EXIT_INFEASIBLE != cli.EXIT_UNDETERMINED
-    code = cli.main(["verify", "--tol", "1e-20,1e-20", "--out", str(tmp_path)])
-    assert code == cli.EXIT_INFEASIBLE
-    assert "tolerance-infeasible" in (tmp_path / "verify_report.txt").read_text()
+def _exit_code(argv) -> int:
+    """cli.main's exit code, whether returned or raised by argparse."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_verify_refuses_tol(tmp_path, capsys):
+    # its suites run at fixed tolerances, so no tolerance is infeasible for it
+    out = tmp_path / "out"
+    assert _exit_code(["verify", "--tol", "1e-20,1e-20", "--out", str(out)]) == cli.EXIT_USAGE
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_SMALL_MODES = ["--horizon", "5", "--mmax", "1", "--grid", "geometric,1e-3,32"]
+
+
+@pytest.mark.parametrize("argv", [
+    # flags the command does not read
+    pytest.param(["classify", "--grid", "geometric,1e-3,32"], id="classify_grid"),
+    pytest.param(["bvp", "--radius", "3", "--horizon", "7"], id="bvp_horizon"),
+    pytest.param(["bvp", "--radius", "3", "--grid", "geometric,1,8"], id="bvp_grid"),
+    pytest.param(["verify", "--profile", "hyperbolic"], id="verify_profile"),
+    pytest.param(["verify", "--eps", "1"], id="verify_eps"),
+    pytest.param(["verify", "--eta", "1"], id="verify_eta"),
+    pytest.param(["verify", "--r0", "2"], id="verify_r0"),
+    pytest.param(["verify", "--rmax", "50"], id="verify_rmax"),
+    pytest.param(["verify", "--mmax", "2"], id="verify_mmax"),
+    pytest.param(["verify", "--grid", "geometric,1e-3,32"], id="verify_grid"),
+    pytest.param(["verify", "--tol", "1e-8,1e-10"], id="verify_tol"),
+    # fault names other than stencil
+    pytest.param(["verify", "--inject-fault", "comparison"], id="fault_comparison"),
+    pytest.param(["verify", "--inject-fault", "regimes"], id="fault_regimes"),
+    pytest.param(["verify", "--inject-fault", ""], id="fault_empty"),
+    # parameters the built-in family does not take
+    pytest.param(["classify", "--profile", "euclidean", "--eps", "5"], id="euclidean_eps"),
+    pytest.param(["classify", "--profile", "euclidean", "--eta", "1"], id="euclidean_eta"),
+    pytest.param(["classify", "--profile", "euclidean", "--r0", "3"], id="euclidean_r0"),
+    pytest.param(["classify", "--profile", "hyperbolic", "--eps", "1"], id="hyperbolic_eps"),
+    pytest.param(["classify", "--profile", "hyperbolic", "--eta", "1"], id="hyperbolic_eta"),
+    pytest.param(["classify", "--profile", "hyperbolic", "--r0", "3"], id="hyperbolic_r0"),
+    pytest.param(["modes", "--profile", "log-threshold", "--eps", "0.5", "--eta", "1",
+                  *_SMALL_MODES], id="log_threshold_eta"),
+    pytest.param(["bvp", *POWER, "--eta", "1", "--radius", "3"], id="power_eta"),
+    pytest.param(["classify", "--profile", "quadratic-curvature", "--eta", "1", "--eps", "1"],
+                 id="quadratic_eps"),
+])
+def test_an_input_the_run_would_not_read_is_refused(tmp_path, argv):
+    if argv[0] == "bvp":
+        argv = [*argv, _trace_file(tmp_path)]
+    out = tmp_path / "out"
+    assert _exit_code([*argv, "--out", str(out)]) == cli.EXIT_USAGE
+    assert not out.exists()
+
+
+_OWN_FLAGS = {
+    "classify": ["--config", "--profile", "--eps", "--eta", "--r0", "--rmax", "--horizon",
+                 "--mmax", "--tol", "--out"],
+    "modes": ["--config", "--profile", "--eps", "--eta", "--r0", "--rmax", "--horizon",
+              "--mmax", "--grid", "--tol", "--out"],
+    "bvp": ["--config", "--profile", "--eps", "--eta", "--r0", "--rmax", "--mmax", "--tol",
+            "--radius", "--out"],
+    "verify": ["--config", "--horizon", "--out"],   # --inject-fault is hidden
+}
+
+
+def test_help_lists_exactly_the_flags_a_command_reads(capsys):
+    for command, own in _OWN_FLAGS.items():
+        assert _exit_code([command, "--help"]) == cli.EXIT_OK
+        flags = set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out))
+        assert flags == {"--help", *own}, command
+
+
+def _evaluators_raise(builtin_profile):
+    """builtin_profile whose surfaces raise on a read of any of the four evaluators."""
+    def build(*args, **kwargs):
+        surface = builtin_profile(*args, **kwargs)
+
+        def read(r):
+            raise AssertionError(f"{surface.name}: a profile evaluator was read")
+
+        metric = replace(surface.metric, phi=read, phi_prime=read, log_phi=read, dlog_phi=read)
+        return geometry.Surface(surface.name, metric, surface.curvature)
+    return build
+
+
+@pytest.mark.parametrize("argv", [
+    *[pytest.param(["classify", "--profile", name, *params], id=f"classify_{name}")
+      for name, params in (("euclidean", []), ("hyperbolic", []),
+                           ("power-curvature", ["--eps", "1"]),
+                           ("quadratic-curvature", ["--eta", "1"]),
+                           ("log-threshold", ["--eps", "0.5"]))],
+    pytest.param(["modes", *POWER, "--horizon", "5", "--grid", "geometric,1e-3,64"],
+                 id="modes_power"),
+    pytest.param(["modes", "--profile", "hyperbolic", *_SMALL_MODES], id="modes_hyperbolic"),
+    pytest.param(["bvp", *POWER, "--radius", "3"], id="bvp_power"),
+    pytest.param(["bvp", "--profile", "euclidean", "--radius", "3"], id="bvp_euclidean"),
+    pytest.param(["verify"], id="verify"),
+])
+def test_no_command_reads_a_builtin_profile_evaluator(tmp_path, monkeypatch, argv):
+    monkeypatch.setattr(geometry, "builtin_profile", _evaluators_raise(geometry.builtin_profile))
+    if argv[0] == "bvp":
+        argv = [*argv, _trace_file(tmp_path)]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("argv", [
@@ -274,8 +377,9 @@ def test_profile_parameters_beside_a_profile_file_are_refused(tmp_path, capsys, 
 def test_horizon_beyond_a_profile_file_is_refused(tmp_path, capsys, command):
     # the file's r_max is 10: the run must not end its grid there silently
     out = tmp_path / "out"
+    grid = ["--grid", "geometric,1e-3,32"] if command == "modes" else []
     argv = [command, "--profile", str(_power_profile_file(tmp_path)), "--horizon", "20",
-            "--mmax", "1", "--grid", "geometric,1e-3,32", "--out", str(out)]
+            "--mmax", "1", *grid, "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_USAGE
     assert "outside the profile domain" in capsys.readouterr().err
     assert not out.exists()

@@ -131,6 +131,13 @@ def test_ivp_sphere_conjugate_point():
     assert 3.1405 <= err.value.radius <= 3.1427
 
 
+def test_ivp_origin_seed_past_the_first_zero_names_the_conjugate_point():
+    # K(0) ORIGIN_STEP^2 >= 6: the origin series leaves phi(ORIGIN_STEP) <= 0
+    with pytest.raises(wd.ConjugatePointError) as err:
+        wd.profile_from_curvature(lambda r: 1e13, r_max=1.0)
+    assert err.value.radius == math.pi / math.sqrt(1e13)
+
+
 def _constant_curvature_closed_form(k, r):
     """(log phi, phi'/phi) of the K = k space form: sin, r or sinh."""
     if k > 0.0:
@@ -303,6 +310,22 @@ def test_builtin_rejections():
         wd.builtin_profile("quadratic-curvature")  # eta missing
     with pytest.raises(wd.DomainError):
         wd.builtin_profile("log-threshold", eps=0.5, r0=1.5)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("euclidean", {"eps": 5.0}),
+    ("euclidean", {"eta": 1.0}),
+    ("euclidean", {"r0": 2.0}),
+    ("hyperbolic", {"eps": 1.0}),
+    ("hyperbolic", {"eta": 1.0}),
+    ("hyperbolic", {"r0": 2.0}),
+    ("log-threshold", {"eps": 0.5, "eta": 1.0}),
+    ("power-curvature", {"eps": 1.0, "eta": 1.0}),
+    ("quadratic-curvature", {"eta": 1.0, "eps": 1.0}),
+])
+def test_builtin_refuses_a_parameter_its_family_does_not_take(name, params):
+    with pytest.raises(wd.DomainError, match="does not take"):
+        wd.builtin_profile(name, **params)
 
 
 def test_builtin_curvature_blend_is_smooth(power1):

@@ -329,6 +329,14 @@ def test_every_pass_names_the_conjugate_point(euclidean, path, k):
     assert info.value.radius == pytest.approx(first_zero, rel=1e-6)
 
 
+def test_origin_seed_past_the_first_zero_names_the_conjugate_point(euclidean):
+    # K(0) t0^2 >= 6 (t0 = 1e-5 here): the origin series leaves phi(t0) <= 0
+    sphere = dataclasses.replace(euclidean.metric, k=lambda r: 1e11)
+    with pytest.raises(wd.ConjugatePointError) as info:
+        mode_pass(sphere, [0, 1], 1.0)
+    assert info.value.radius == math.pi / math.sqrt(1e11)
+
+
 def test_biharmonic_mode_return_shape(euclidean):
     grid = RadialGrid.geometric(0.1, 10.0, 33)
     one = wd.biharmonic_mode(euclidean.metric, 2, grid)
