@@ -1,6 +1,6 @@
 """Harmonic and biharmonic analysis on rotationally symmetric surfaces.
 
-Build a metric profile (closed form or integrated from curvature),
+Build a metric profile (integrated from its curvature K(r)),
 compute the radial harmonic modes phi_m and their biharmonic partners
 psi_m = z phi_m in overflow-safe log space, verify them against the
 separated Laplacian, classify the surface into curvature regimes, and

@@ -41,6 +41,7 @@ from .geometry import (
     MetricProfile,
     Surface,
     TailDescriptor,
+    sample_curvature,
 )
 from .modes import DEFAULT_ATOL, DEFAULT_RTOL, mode_pass
 
@@ -106,7 +107,7 @@ class TailFit:
 def fit_tail_exponent(
     curvature, window: tuple[float, float], n: int = 32
 ) -> TailFit:
-    """Least-squares fit of log(-K) against the regime templates."""
+    """Least-squares fit of log(-K) against the regime templates; K takes one float."""
     k_fn = curvature.k if isinstance(curvature, CurvatureProfile) else curvature
     lo, hi = float(window[0]), float(window[1])
     if not (1.0 < lo < hi):
@@ -114,7 +115,7 @@ def fit_tail_exponent(
     if n < 16:
         raise DomainError("need at least 16 samples for a tail fit")
     radii = np.geomspace(lo, hi, n)
-    k = np.asarray(k_fn(radii), dtype=float)
+    k = sample_curvature(k_fn, radii)
     if np.any(k >= 0.0):
         return TailFit("nonnegative", None, None, math.inf, (lo, hi))
 
@@ -312,7 +313,7 @@ def _fit_descriptor(fit: TailFit, curv_fn) -> TailDescriptor | None:
             return TailDescriptor("le_power", r0=lo, eps=fit.exponent - 2.0)
         # flat-to-quadratic growth: try the two-sided band with eta from samples
         radii = np.geomspace(lo, fit.window[1], 32)
-        k = np.asarray(curv_fn(radii), dtype=float)
+        k = sample_curvature(curv_fn, radii)
         eta = float(np.max(-k / radii**2)) * 1.05
         if eta <= 0.0:
             return None

@@ -66,7 +66,6 @@ _MIN_RTOL = {
     "bvp": modes.MODE_PASS_MIN_RTOL,
     "modes": modes.BIHARMONIC_MODE_MIN_RTOL,
 }
-_BUILTIN_R_MAX = 1200.0   # radius of validity of a built-in when r_max is not given
 
 
 @dataclass
@@ -75,7 +74,7 @@ class RunConfig:
     eps: float | None = None
     eta: float | None = None
     r0: float | None = None
-    r_max: float | None = None   # None: _BUILTIN_R_MAX (a profile file sets its own)
+    r_max: float | None = None   # None: geometry.DEFAULT_R_MAX (a profile file sets its own)
     horizon: float = 1000.0
     m_max: int = 8
     grid_kind: str = "geometric"
@@ -99,7 +98,7 @@ class RunConfig:
         if self.m_max < 0:
             raise DomainError("m-range must be symmetric around 0: m_max >= 0")
         # a profile file's own r_max is checked on the surface it builds
-        r_max = _BUILTIN_R_MAX if self.r_max is None else self.r_max
+        r_max = geometry.DEFAULT_R_MAX if self.r_max is None else self.r_max
         if reads_horizon and self.horizon > r_max and not _is_profile_file(self.profile):
             raise DomainError("horizon must not exceed r_max")
         if self.grid_kind not in ("uniform", "geometric"):
@@ -180,7 +179,7 @@ def _surface(cfg: RunConfig) -> geometry.Surface:
         eps=cfg.eps,
         eta=cfg.eta,
         r0=cfg.r0,
-        r_max=_BUILTIN_R_MAX if cfg.r_max is None else cfg.r_max,
+        r_max=geometry.DEFAULT_R_MAX if cfg.r_max is None else cfg.r_max,
     )
 
 

@@ -1,12 +1,12 @@
 """Rotationally symmetric metric profiles.
 
 A metric ``dr^2 + phi(r)^2 dtheta^2`` on the plane is determined by its
-warp function ``phi``. This module constructs profiles either from
-closed-form warp functions (flat plane, hyperbolic plane) or by
-integrating the curvature relation ``phi'' = -K phi`` from the origin
-conditions ``phi(0) = 0, phi'(0) = 1`` as a dense mode pass of m = 0
-(``modes``), whose log-space state ``(log(phi/r), phi'/phi - 1/r)``
-stays finite where phi itself overflows.
+Gaussian curvature K(r) alone, through ``phi'' = -K phi`` from the origin
+conditions ``phi(0) = 0, phi'(0) = 1``. Every profile here, the built-in
+surfaces included, is that relation integrated as a dense mode pass of
+m = 0 (``modes``), whose log-space state ``(log(phi/r), phi'/phi - 1/r)``
+stays finite where phi itself overflows. K is a function of one float;
+``sample_curvature`` maps it over an array of radii.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ __all__ = [
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 ORIGIN_STEP = 1e-6          # integration starts here, seeded by a series
-ANALYTIC_R_MAX = 1.0e6
+DEFAULT_R_MAX = 1200.0      # radius of validity of a built-in when r_max is not given
 
 
 # ----------------------------------------------------------------------
@@ -154,9 +154,30 @@ class TailCheck:
     first_violation: float | None = None
 
 
+def sample_curvature(k: Callable, radii) -> np.ndarray:
+    """K of one float mapped over ``radii``, as a float array.
+
+    K is called at Python floats with numpy's floating-point warnings
+    off, and a float OverflowError reads as inf: an overflowing K gives
+    a non-finite sample, never a RuntimeWarning.
+    """
+    def at(r):
+        try:
+            return k(r)
+        except OverflowError:
+            return math.inf
+
+    with np.errstate(all="ignore"):
+        return np.array([at(r) for r in np.asarray(radii, dtype=float).tolist()], dtype=float)
+
+
 @dataclass(frozen=True)
 class CurvatureProfile:
-    """A Gaussian curvature function K(r) with an optional declared tail."""
+    """A Gaussian curvature function K(r) with an optional declared tail.
+
+    ``k`` is K of one float, as ``MetricProfile.k`` is (a built-in's is
+    the same function); array callers map it with ``sample_curvature``.
+    """
 
     k: Callable
     tail: TailDescriptor | None = None
@@ -173,7 +194,7 @@ class CurvatureProfile:
         if r_upper <= lo:
             return TailCheck(ok=False, n_checked=0)
         radii = np.geomspace(lo, r_upper, n)
-        vals = np.asarray(self.k(radii), dtype=float)
+        vals = sample_curvature(self.k, radii)
         if not np.all(np.isfinite(vals)):
             return TailCheck(ok=False, n_checked=n, first_violation=float(radii[~np.isfinite(vals)][0]))
         good = self.tail.holds_at(radii, vals)
@@ -197,14 +218,15 @@ class MetricProfile:
     across threads. ``name`` labels the surface in reports.
 
     ``k`` is the Gaussian curvature K(r) = -phi''/phi of one float r, as
-    a float (no numpy, so a right-hand side can call it every step). The
-    mode passes integrate phi from it together with the modes and read
-    none of the four evaluators; the evidence probes and both residual
-    checks read the passes' own profile rows. So no command reads a
-    built-in's evaluators. They remain for explicit reads: by library
-    callers, and by ``verify``'s round trip, which reads those of two
+    a float (no numpy, so a right-hand side can call it every step);
+    array callers map it with ``sample_curvature``. The mode passes
+    integrate phi from it together with the modes and read none of the
+    four evaluators; the evidence probes and both residual checks read
+    the passes' own profile rows. So no command reads a built-in's
+    evaluators. They remain for explicit reads: by library callers, and
+    by ``verify``'s round trip, which reads those of two
     ``profile_from_curvature`` profiles. A profile without ``k`` serves
-    only such reads; mode passes refuse it. A curved built-in solves its
+    only such reads; mode passes refuse it. A built-in solves its
     profile at the first read of an evaluator (see ``builtin_profile``).
     """
 
@@ -252,22 +274,16 @@ def _check_curvature_ivp(k_fn: Callable, r_max: float,
 
     Checks the tolerances, that r_max lies beyond the origin step, and
     that K is finite at 64 radii spread geometrically over
-    [ORIGIN_STEP, r_max]. K is probed at Python floats with numpy's
-    floating-point warnings off: an overflowing K (a float OverflowError,
-    or inf/nan from numpy) is a DomainError, never a RuntimeWarning.
+    [ORIGIN_STEP, r_max] (``sample_curvature``): an overflowing K (a
+    float OverflowError, or inf/nan from numpy) is a DomainError, never
+    a RuntimeWarning.
     """
     rtol, atol = float(step_control[0]), float(step_control[1])
     if rtol <= 0.0 or atol <= 0.0:
         raise DomainError("step_control tolerances must be positive")
     if not ORIGIN_STEP < r_max:
         raise DomainError(f"r_max must exceed the origin step {ORIGIN_STEP:g}")
-    try:
-        with np.errstate(all="ignore"):
-            kp = np.asarray([k_fn(r) for r in np.geomspace(ORIGIN_STEP, r_max, 64).tolist()],
-                            dtype=float)
-    except OverflowError:
-        kp = np.array([math.inf])
-    if not np.all(np.isfinite(kp)):
+    if not np.all(np.isfinite(sample_curvature(k_fn, np.geomspace(ORIGIN_STEP, r_max, 64)))):
         raise DomainError("curvature is not finite on (0, r_max]")
     return rtol, atol
 
@@ -285,7 +301,8 @@ def _pass_profile(k: Callable, r_max: float, rtol: float, atol: float,
     seeded by the series phi ~ h0 - K(0) h0^3/6; K = 0 keeps both 0.
     The evaluators give phi = r e^a, phi' = e^a (1 + r b),
     log phi = a + log r and phi'/phi = b + 1/r, the series below h0, and
-    read radii beyond r_max at r_max.
+    read radii beyond r_max at r_max. Where phi and phi' overflow doubles
+    they read inf, without a RuntimeWarning.
     """
     from . import modes   # modes imports this module
 
@@ -306,11 +323,13 @@ def _pass_profile(k: Callable, r_max: float, rtol: float, atol: float,
 
     def phi(r):
         r, a, _ = rows(r)
-        return r * np.exp(a)
+        with np.errstate(over="ignore"):
+            return r * np.exp(a)
 
     def phi_prime(r):
         r, a, b = rows(r)
-        return np.exp(a) * (1.0 + r * b)
+        with np.errstate(over="ignore"):
+            return np.exp(a) * (1.0 + r * b)
 
     def log_phi(r):
         r, a, _ = rows(r)
@@ -351,56 +370,6 @@ def profile_from_curvature(
 # built-in surfaces
 # ----------------------------------------------------------------------
 
-def _euclidean_profile() -> MetricProfile:
-    return MetricProfile(
-        phi=lambda r: np.asarray(r, dtype=float) + 0.0,
-        phi_prime=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-        log_phi=lambda r: np.log(r),
-        dlog_phi=lambda r: 1.0 / np.asarray(r, dtype=float),
-        r_max=ANALYTIC_R_MAX,
-        name="euclidean",
-        k=lambda r: 0.0,
-    )
-
-
-def _log_sinh(r):
-    # log sinh r without overflow: r + log((1 - e^{-2r})/2)
-    r = np.asarray(r, dtype=float)
-    return r + np.log1p(-np.exp(-2.0 * r)) - math.log(2.0)
-
-
-def _coth(r):
-    r = np.asarray(r, dtype=float)
-    out = np.ones_like(r)
-    mod = r < 20.0
-    out[mod] = 1.0 / np.tanh(r[mod])
-    return out
-
-
-def _sinh_safe(r):
-    r = np.asarray(r, dtype=float)
-    with np.errstate(over="ignore"):
-        return np.sinh(r)
-
-
-def _cosh_safe(r):
-    r = np.asarray(r, dtype=float)
-    with np.errstate(over="ignore"):
-        return np.cosh(r)
-
-
-def _hyperbolic_profile() -> MetricProfile:
-    return MetricProfile(
-        phi=_sinh_safe,
-        phi_prime=_cosh_safe,
-        log_phi=_log_sinh,
-        dlog_phi=_coth,
-        r_max=ANALYTIC_R_MAX,
-        name="hyperbolic",
-        k=lambda r: -1.0,
-    )
-
-
 def _blended_curvature(tail: Callable, r0: float) -> Callable:
     """Scalar K: constant cap on [0, r0], C^2 quintic blend on [r0, r0+1], tail beyond.
 
@@ -432,31 +401,30 @@ def builtin_profile(
     eps: float | None = None,
     eta: float | None = None,
     r0: float | None = None,
-    r_max: float = 1200.0,
+    r_max: float = DEFAULT_R_MAX,
     step_control: tuple[float, float] = (DEFAULT_RTOL, DEFAULT_ATOL),
 ) -> Surface:
-    """Construct one of the named surfaces.
+    """Construct one of the named surfaces from its curvature.
 
-    euclidean / hyperbolic come with closed-form warp functions and take
-    no parameter; they are valid to ANALYTIC_R_MAX whatever r_max says,
-    and step_control does not apply to them. The three curvature
-    families are built from a capped-and-blended tail and integrated:
-
+      euclidean                    K = 0
+      hyperbolic                   K = -1
       log-threshold(eps, r0)       K -> -(1+eps)/(r^2 log r),  r0 >= 2
       power-curvature(eps, r0)     K -> -r^(2+eps)
       quadratic-curvature(eta, r0) K -> -eta r^2
 
-    A parameter the family does not take (eps, eta or r0 outside its
-    parentheses above) is a DomainError, as is an unknown name.
+    The last three are capped and blended onto their tail. A parameter
+    the family does not take (eps, eta or r0 outside its parentheses
+    above) is a DomainError, as is an unknown name.
 
-    For those three, construction checks the step control, r_max and
-    the finiteness of K as ``profile_from_curvature`` does, and sets the
-    scalar ``k`` the mode passes integrate from, but solves no profile:
-    the first read of an evaluator runs the pass ``profile_from_curvature``
-    would, and later reads reuse it (concurrent first reads may solve
-    twice, to the same result). Commands read only ``k``. Built-in K is
-    negative, so phi has no conjugate point; the deferred solve can only
-    raise a QuadratureError (an IntegrationError).
+    Each family gives only its scalar K, its declared tail and its
+    label; the surface's ``metric.k`` and ``curvature.k`` are that one
+    K. Construction checks the step control, r_max and the finiteness
+    of K as ``profile_from_curvature`` does, but solves no profile: the
+    first read of an evaluator runs the pass ``profile_from_curvature``
+    would, valid on (0, r_max], and later reads reuse it (concurrent
+    first reads may solve twice, to the same result). Commands read only
+    ``k``. Built-in K is at most 0, so phi has no conjugate point; the
+    deferred solve can only raise a QuadratureError (an IntegrationError).
     """
     key = name.strip().lower().replace("_", "-")
     if key not in _BUILTIN_PARAMS:
@@ -469,68 +437,53 @@ def builtin_profile(
     for param, value in (("eps", eps), ("eta", eta)):
         if param in _BUILTIN_PARAMS[key] and (value is None or value <= 0.0):
             raise DomainError(f"{key} needs {param} > 0")
+
+    label = key
     if key == "euclidean":
-        metric = _euclidean_profile()
-        curv = CurvatureProfile(
-            k=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-            tail=TailDescriptor("ge_milnor", r0=2.0),
-            name="euclidean",
-        )
-        return Surface("euclidean", metric, curv)
+        k, declared = (lambda r: 0.0), TailDescriptor("ge_milnor", r0=2.0)
+    elif key == "hyperbolic":
+        k, declared = (lambda r: -1.0), TailDescriptor("between", r0=2.0, eps=1.0, eta=1.0)
+    else:
+        r0 = (2.0 if key == "log-threshold" else 1.0) if r0 is None else float(r0)
+        if r0 <= 0.0:
+            raise DomainError(f"{key} needs r0 > 0")
+        if key == "log-threshold":
+            if r0 < 2.0:
+                raise DomainError("log-threshold needs r0 >= 2 (the tail is singular at log r = 0)")
+            e = float(eps)
 
-    if key == "hyperbolic":
-        metric = _hyperbolic_profile()
-        curv = CurvatureProfile(
-            k=lambda r: np.full_like(np.asarray(r, dtype=float), -1.0),
-            tail=TailDescriptor("between", r0=2.0, eps=1.0, eta=1.0),
-            name="hyperbolic",
-        )
-        return Surface("hyperbolic", metric, curv)
+            def tail(r):
+                return -(1.0 + e) / (r * r * math.log(r))
 
-    r0 = (2.0 if key == "log-threshold" else 1.0) if r0 is None else float(r0)
-    if r0 <= 0.0:
-        raise DomainError(f"{key} needs r0 > 0")
-    if key == "log-threshold":
-        if r0 < 2.0:
-            raise DomainError("log-threshold needs r0 >= 2 (the tail is singular at log r = 0)")
-        e = float(eps)
+            # the tail also sits above every -eta r^2 bound, so the
+            # two-sided declaration is the informative one
+            declared = TailDescriptor("between", r0=r0 + 1.0, eps=e, eta=1.0)
+            label = f"log-threshold(eps={e:g}, r0={r0:g})"
+        elif key == "power-curvature":
+            e = float(eps)
 
-        def tail(r):
-            return -(1.0 + e) / (r * r * math.log(r))
+            def tail(r):
+                return -(r ** (2.0 + e))
 
-        # the tail also sits above every -eta r^2 bound, so the
-        # two-sided declaration is the informative one
-        declared = TailDescriptor("between", r0=r0 + 1.0, eps=e, eta=1.0)
-        label = f"log-threshold(eps={e:g}, r0={r0:g})"
-    elif key == "power-curvature":
-        e = float(eps)
+            declared = TailDescriptor("le_power", r0=max(r0, 1.0 + 1e-6), eps=e)
+            label = f"power-curvature(eps={e:g}, r0={r0:g})"
+        else:   # quadratic-curvature
+            et = float(eta)
 
-        def tail(r):
-            return -(r ** (2.0 + e))
+            def tail(r):
+                return -et * r * r
 
-        declared = TailDescriptor("le_power", r0=max(r0, 1.0 + 1e-6), eps=e)
-        label = f"power-curvature(eps={e:g}, r0={r0:g})"
-    else:   # quadratic-curvature
-        et = float(eta)
-
-        def tail(r):
-            return -et * r * r
-
-        # -eta r^2 falls below the log-threshold bound only once
-        # eta r^4 log r > 1 + eps; declare the band from there on
-        r_decl = max(r0 + 1.0, 2.0)
-        while et * r_decl**4 * math.log(r_decl) < 2.02 and r_decl < 1e3:
-            r_decl *= 1.05
-        declared = TailDescriptor("between", r0=r_decl, eps=1.0, eta=et)
-        label = f"quadratic-curvature(eta={et:g}, r0={r0:g})"
-
-    # one scalar K drives the profile pass (and, through MetricProfile.k,
-    # the mode passes); the curvature's array form maps it over its input
-    k = _blended_curvature(tail, r0)
-    curv = CurvatureProfile(k=np.vectorize(k, otypes=[float]), tail=declared, name=label)
+            # -eta r^2 falls below the log-threshold bound only once
+            # eta r^4 log r > 1 + eps; declare the band from there on
+            r_decl = max(r0 + 1.0, 2.0)
+            while et * r_decl**4 * math.log(r_decl) < 2.02 and r_decl < 1e3:
+                r_decl *= 1.05
+            declared = TailDescriptor("between", r0=r_decl, eps=1.0, eta=et)
+            label = f"quadratic-curvature(eta={et:g}, r0={r0:g})"
+        k = _blended_curvature(tail, r0)
     rtol, atol = _check_curvature_ivp(k, r_max, step_control)
     metric, _ = _pass_profile(k, r_max, rtol, atol, label)
-    return Surface(label, metric, curv)
+    return Surface(label, metric, CurvatureProfile(k=k, tail=declared, name=label))
 
 
 # ----------------------------------------------------------------------
@@ -551,6 +504,6 @@ def read_profile_file(path) -> Surface:
         eps=values.get("eps"),
         eta=values.get("eta"),
         r0=values.get("r0"),
-        r_max=values.get("r_max", 1200.0),
+        r_max=values.get("r_max", DEFAULT_R_MAX),
         step_control=(values.get("rtol", DEFAULT_RTOL), values.get("atol", DEFAULT_ATOL)),
     )

@@ -110,7 +110,7 @@ def _family(k_tail, r0):
     """A surface integrated from a blended tail, with no declared tail."""
     k = _blended_curvature(k_tail, r0)
     metric = wd.profile_from_curvature(k, r_max=1200.0)
-    return wd.Surface("family", metric, wd.CurvatureProfile(k=np.vectorize(k, otypes=[float])))
+    return wd.Surface("family", metric, wd.CurvatureProfile(k=k))
 
 
 def _milnor_family(kappa):

@@ -408,15 +408,29 @@ def test_bvp_does_not_hold_the_unread_horizon_to_rmax(tmp_path):
 
 
 def test_profile_file_radius_bounds_the_horizon(tmp_path):
-    # the file's surface (euclidean: valid to 1e6), not the built-in default
-    # of 1200, decides how far the horizon may reach
+    # the file's r_max, not the built-in default of 1200, decides how far
+    # the horizon may reach
     path = tmp_path / "flat.profile"
-    path.write_text("[profile]\nname = euclidean\n")
+    path.write_text("[profile]\nname = euclidean\nr_max = 2000\n")
     out = tmp_path / "out"
     argv = ["modes", "--profile", str(path), "--horizon", "1500", "--mmax", "0",
             "--grid", "geometric,1e-3,16", "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_OK
     assert (out / "mode_0.csv").read_text().splitlines()[-1].startswith("1500")
+
+
+@pytest.mark.parametrize("profile", [
+    pytest.param(["euclidean"], id="euclidean"),
+    pytest.param(["hyperbolic"], id="hyperbolic"),
+    pytest.param(["power-curvature", "--eps", "1"], id="power"),
+])
+def test_every_builtin_honours_rmax(tmp_path, capsys, profile):
+    out = tmp_path / "out"
+    argv = ["bvp", "--profile", *profile, "--rmax", "2", "--radius", "3",
+            _trace_file(tmp_path), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "outside the profile domain (0, 2]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tolerances_beside_a_profile_file_are_accepted(tmp_path):

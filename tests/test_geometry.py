@@ -91,7 +91,8 @@ def test_log_derivative_flat(euclidean):
 
 def test_log_derivative_hyperbolic(hyperbolic):
     assert_allclose(hyperbolic.metric.dlog_phi(3.0), 1.0 / math.tanh(3.0), rtol=1e-12)
-    assert_allclose(hyperbolic.metric.dlog_phi(40.0), 1.0, rtol=1e-12)
+    # coth 40 = 1 to double precision; the profile pass carries its own error
+    assert_allclose(hyperbolic.metric.dlog_phi(40.0), 1.0, rtol=geometry.DEFAULT_RTOL)
 
 
 def test_log_derivative_quadratic_growth(quadratic1):
@@ -194,6 +195,8 @@ _CURVED = [
     ("power-curvature", {"eps": 1.0}),
     ("quadratic-curvature", {"eta": 1.25}),
     ("log-threshold", {"eps": 0.5}),
+    ("euclidean", {}),
+    ("hyperbolic", {}),
 ]
 
 
@@ -280,12 +283,37 @@ def test_ivp_positivity_on_grid():
 # ----------------------------------------------------------------------
 
 def test_builtin_euclidean(euclidean):
-    assert float(euclidean.metric.phi(1.0)) == 1.0
-    assert float(euclidean.metric.phi_prime(1.0)) == 1.0
+    # K = 0 keeps the pass state (log(phi/r), phi'/phi - 1/r) at 0, so the
+    # evaluators are the closed forms exactly
+    r = np.geomspace(1e-7, euclidean.metric.r_max, 301)
+    np.testing.assert_array_equal(euclidean.metric.phi(r), r)
+    np.testing.assert_array_equal(euclidean.metric.phi_prime(r), np.ones_like(r))
+    np.testing.assert_array_equal(euclidean.metric.log_phi(r), np.log(r))
+    np.testing.assert_array_equal(euclidean.metric.dlog_phi(r), 1.0 / r)
 
 
 def test_builtin_hyperbolic(hyperbolic):
     assert_allclose(float(hyperbolic.metric.phi(1.0)), 1.1752011936438014, rtol=1e-12)
+    r = np.geomspace(1e-3, 200.0, 301)
+    assert_allclose(hyperbolic.metric.phi(r), np.sinh(r), rtol=1e-7)
+    assert_allclose(hyperbolic.metric.phi_prime(r), np.cosh(r), rtol=1e-7)
+    # log sinh r and coth r without overflow
+    assert_allclose(hyperbolic.metric.log_phi(r),
+                    r - math.log(2.0) + np.log(-np.expm1(-2.0 * r)), rtol=1e-9, atol=1e-9)
+    assert_allclose(hyperbolic.metric.dlog_phi(r), 1.0 / np.tanh(r), rtol=1e-10)
+
+
+def test_builtin_phi_overflows_to_inf_without_warning(hyperbolic, power1):
+    assert float(hyperbolic.metric.phi(1000.0)) == math.inf
+    assert float(power1.metric.phi(1000.0)) == math.inf
+    assert float(hyperbolic.metric.phi_prime(1000.0)) == math.inf
+
+
+def test_builtin_curvature_is_its_metric_curvature(all_builtins):
+    # one scalar K drives both the profile pass and the curvature checks
+    for surface in all_builtins:
+        assert surface.curvature.k is surface.metric.k, surface.name
+        assert isinstance(surface.curvature.k(5.0), float), surface.name
 
 
 def test_builtin_power_curvature_values(power1):
@@ -331,7 +359,7 @@ def test_builtin_refuses_a_parameter_its_family_does_not_take(name, params):
 def test_builtin_curvature_blend_is_smooth(power1):
     # C^2 blend: second difference of K stays bounded through [r0, r0+1]
     r = np.linspace(0.9, 2.1, 2001)
-    k = np.asarray(power1.curvature.k(r), dtype=float)
+    k = geometry.sample_curvature(power1.curvature.k, r)
     d2 = np.diff(k, 2) / (r[1] - r[0]) ** 2
     assert np.max(np.abs(np.diff(d2))) < 1.0  # no jump in K''
 

@@ -54,6 +54,9 @@ def write_inputs(inputs: Path) -> None:
 RUNS = {
     "classify_euclidean": ["classify", *EUCLIDEAN],
     "classify_power": ["classify", *POWER],
+    "classify_hyperbolic": ["classify", *HYPERBOLIC],
+    "classify_quadratic": ["classify", "--profile", "quadratic-curvature", "--eta", "1"],
+    "classify_log_threshold": ["classify", "--profile", "log-threshold", "--eps", "0.5"],
     "modes_euclidean": ["modes", *EUCLIDEAN],
     "modes_power": ["modes", *POWER, "--horizon", "100", "--mmax", "2"],
     "modes_hyperbolic": ["modes", *HYPERBOLIC],
