@@ -140,9 +140,16 @@ def fit_tail_exponent(
 # boundedness verdicts at a finite horizon
 # ----------------------------------------------------------------------
 
-def _ladder(horizon: float, r_base: float = 2.0) -> np.ndarray:
-    k = int(math.floor(math.log2(horizon / r_base)))
-    k = max(k, 3)
+_LADDER_BASE = 2.0      # the lowest rung the ladder aims for
+_LADDER_MIN_RUNGS = 4   # the verdict rule reads three increments
+# Below this horizon the lowest of the minimum rungs falls under
+# _LADDER_BASE, so the ladder sees the surface near the origin, not its end.
+NUMERIC_MIN_HORIZON = _LADDER_BASE * 2.0 ** (_LADDER_MIN_RUNGS - 1)
+
+
+def _ladder(horizon: float) -> np.ndarray:
+    k = int(math.floor(math.log2(horizon / _LADDER_BASE)))
+    k = max(k, _LADDER_MIN_RUNGS - 1)
     return horizon / 2.0 ** np.arange(k, -1.0, -1.0)
 
 
@@ -277,6 +284,10 @@ def _declared_labels(curv: CurvatureProfile, horizon, evidence) -> tuple[str, st
 
 def _numeric_labels(evidence: EvidenceBundle) -> tuple[str, str, list[str]]:
     """(harmonic, biharmonic, notes) from finite-horizon verdicts alone."""
+    if evidence.horizon < NUMERIC_MIN_HORIZON:
+        return UNDETERMINED, UNDETERMINED, [
+            f"horizon {evidence.horizon:.4g} is below {NUMERIC_MIN_HORIZON:g}: the ladder's "
+            f"lowest rung would fall under r = {_LADDER_BASE:g}; numeric route not used"]
     notes: list[str] = []
     if evidence.phi_verdict == UNDETERMINED:
         notes.append("phi_m ladder is undetermined")

@@ -31,6 +31,7 @@ refused runs load neither.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -240,11 +241,12 @@ def _run_grid(cfg: RunConfig, r_max: float) -> geometry.RadialGrid:
 def cmd_modes(cfg: RunConfig) -> int:
     surface = _surface(cfg)
     grid = _run_grid(cfg, surface.metric.require_radius(cfg.horizon))
+    # solved before anything is written, so a grid the modes refuse leaves no output
+    bmodes = modes.biharmonic_mode(surface.metric, range(cfg.m_max + 1), grid,
+                                   rtol=cfg.rtol, atol=cfg.atol)
     out = _outdir(cfg)
     print(f"profile = {surface.name}")
     print("m  max_scaled_residual_eq4  max_scaled_residual_eq6  max_scaled_residual_profile  file")
-    bmodes = modes.biharmonic_mode(surface.metric, range(cfg.m_max + 1), grid,
-                                   rtol=cfg.rtol, atol=cfg.atol)
     for m, bmode in enumerate(bmodes):
         rep = modes.verify_mode_residuals(surface.metric, bmode)
         path = out / f"mode_{m}.csv"
@@ -557,9 +559,19 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``make_parser()``'s tree, built at the first call and kept for the process.
+
+    argparse keeps no state of a parse on the parser (each parse fills a
+    fresh namespace, and ``_Parser.error`` only prints and raises), so
+    every ``main`` call in one process parses as a fresh process would.
+    """
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "profiles":
         return cmd_profiles()
     try:

@@ -231,6 +231,40 @@ def test_route_consistency(all_builtins):
         assert not any("says" in note for note in report.notes)
 
 
+_TRUTH = {
+    "euclidean": (wd.PARABOLIC, wd.RIGID),
+    "hyperbolic": (wd.HYPERBOLIC, wd.LIOUVILLE_TO_HARMONIC),
+    "log-threshold": (wd.HYPERBOLIC, wd.LIOUVILLE_TO_HARMONIC),
+    "power-curvature": (wd.HYPERBOLIC, wd.ADMITS_NONHARMONIC_BOUNDED),
+    "quadratic-curvature": (wd.HYPERBOLIC, wd.LIOUVILLE_TO_HARMONIC),
+}
+
+
+@pytest.mark.parametrize("horizon", [1e-3, 0.5, 1.0, 2.0, 3.0, 8.0, 15.9, 16.0, 100.0])
+def test_every_builtin_label_is_its_truth_or_undetermined_at_any_horizon(all_builtins, horizon):
+    # below horizon 16 the ladder's four rungs fall under r = 2 and see the
+    # surface near the origin, so only the declared route may label
+    for surface in all_builtins:
+        report = wd.classify_surface(surface, horizon=horizon)
+        labels = (report.harmonic_regime, report.biharmonic_regime)
+        truth = _TRUTH[surface.name.split("(")[0]]
+        if horizon >= 16.0:
+            assert labels == truth, surface.name
+        else:
+            assert all(got in (want, wd.UNDETERMINED) for got, want in zip(labels, truth)), (
+                surface.name, labels)
+
+
+def test_numeric_route_is_silent_below_its_horizon():
+    assert asy.NUMERIC_MIN_HORIZON == 16.0
+    bundle = asy.EvidenceBundle(horizon=15.9, phi_verdict="unbounded", z_verdict="unbounded",
+                                phi_grows=True, phi_nondecreasing=True)
+    h, b, notes = asy._numeric_labels(bundle)
+    assert (h, b) == (wd.UNDETERMINED, wd.UNDETERMINED)
+    assert notes == ["horizon 15.9 is below 16: the ladder's lowest rung would fall under "
+                     "r = 2; numeric route not used"]
+
+
 def test_classify_rejects_other_types(euclidean):
     # a Surface carries the curvature the tail checks need; its parts alone are refused
     for subject in (42, euclidean.metric, euclidean.curvature):

@@ -84,17 +84,23 @@ print(loaded, file=sys.stderr)
 """
 
 
+def _child_env() -> dict:
+    """This environment, with the tested package first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_no_command_loads_scipy_integrate_special_or_optimize(tmp_path):
     # every ODE, verify's included, runs LSODA from the compiled extension
     # alone; the scipy subpackages that scipy.integrate would pull in stay
     # unloaded
     _trace_file(tmp_path)
     names = ("scipy.integrate", "scipy.special", "scipy.optimize")
-    env = dict(os.environ)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", f"NAMES = {names!r}\n{_LOADED_SCIPY}",
-                           str(tmp_path)], env=env, capture_output=True, text=True, timeout=300)
+                           str(tmp_path)], env=_child_env(), capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
     loaded = ast.literal_eval(proc.stderr.strip().splitlines()[-1])
     assert len(loaded) == 9
@@ -149,13 +155,60 @@ _SMALL_MODES = ["--horizon", "5", "--mmax", "1", "--grid", "geometric,1e-3,32"]
     pytest.param(["bvp", *POWER, "--eta", "1", "--radius", "3"], id="power_eta"),
     pytest.param(["classify", "--profile", "quadratic-curvature", "--eta", "1", "--eps", "1"],
                  id="quadratic_eps"),
+    # a grid below r = 1, where Lambda_m is normalized: refused before any output
+    pytest.param(["modes", "--profile", "euclidean", "--horizon", "0.5", "--rmax", "0.6",
+                  "--mmax", "1"], id="modes_grid_below_one"),
 ])
-def test_an_input_the_run_would_not_read_is_refused(tmp_path, argv):
+def test_an_input_the_run_would_not_read_is_refused(tmp_path, capsys, argv):
     if argv[0] == "bvp":
         argv = [*argv, _trace_file(tmp_path)]
     out = tmp_path / "out"
     assert _exit_code([*argv, "--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().out == ""
     assert not out.exists()
+
+
+_OUT_HERE = ["--out", "."]
+# one process's calls, in this order; each must act as in a fresh process
+_IN_ONE_PROCESS = (
+    ["classify", "--profile", "power-curvature", "--eps", "2", "--horizon", "100",
+     "--rmax", "120", *_OUT_HERE],
+    ["classify", "--profile", "power-curvature", "--eps", "1", "--horizon", "100",
+     "--rmax", "120", *_OUT_HERE],
+    ["classify", "--grid", "geometric,1e-3,32", *_OUT_HERE],   # exit 64
+    ["--help"],
+    ["modes", "--profile", "euclidean", *_SMALL_MODES, *_OUT_HERE],
+    ["classify", "--profile", "power-curvature", "--eps", "1", "--horizon", "100",
+     "--rmax", "120", *_OUT_HERE],
+)
+# how tools/output_set.py runs one command in a fresh process
+_FRESH_MAIN = "import sys; from warped_disk.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _tree(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+def test_calls_in_one_process_act_as_fresh_processes(tmp_path, monkeypatch, capsys):
+    assert cli._parser() is cli._parser()
+    # help text wraps at the terminal width: fix it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    env = _child_env()
+    codes = []
+    for i, argv in enumerate(_IN_ONE_PROCESS):
+        here, fresh = tmp_path / "here" / str(i), tmp_path / "fresh" / str(i)
+        here.mkdir(parents=True)
+        fresh.mkdir(parents=True)
+        monkeypatch.chdir(here)
+        code = _exit_code(argv)
+        codes.append(code)
+        out = capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-c", _FRESH_MAIN, *argv], cwd=fresh, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert (code, out) == (proc.returncode, proc.stdout), argv
+        assert _tree(here) == _tree(fresh), argv
+    assert codes == [0, 0, cli.EXIT_USAGE, 0, 0, 0]
 
 
 _OWN_FLAGS = {
@@ -481,3 +534,9 @@ def test_bvp_on_a_profile_whose_phi_overflows_warns_nothing(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(argv) == cli.EXIT_OK
+
+
+def test_readme_lists_every_exit_code_and_its_meaning():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| (\d+) \| (.+) \|$", readme, flags=re.MULTILINE)
+    assert [(int(code), meaning) for code, meaning in rows] == list(cli._EXIT_MEANINGS)

@@ -11,9 +11,11 @@ from scipy.integrate import quad
 
 import warped_disk as wd
 from warped_disk import _lsoda, modes
-from warped_disk.geometry import RadialGrid
+from warped_disk.geometry import RadialGrid, _blended_curvature
 from warped_disk.modes import export_mode_csv, mode_pass
 from warped_disk.operators import separated_laplacian
+
+from surfaces import ExpSquare
 
 TIGHT = dict(rtol=1e-10, atol=1e-12)
 
@@ -115,6 +117,54 @@ def test_lam_error_covers_the_closed_form_at_every_node(request, surface, log_rt
     for mode in wd.biharmonic_mode(metric, sorted(ms), grid, rtol=rtol, atol=rtol / 100.0):
         actual = np.abs(mode.lam - mode.m * unit)
         assert np.all(actual <= mode.lam_error), mode.m
+
+
+def test_exp_square_surface_is_within_its_bounds_at_every_node():
+    # phi = r e^{r^2}, integrated from K = -6 - 4r^2 alone
+    metric = wd.profile_from_curvature(ExpSquare.k, r_max=5.0)
+    grid = RadialGrid.geometric(1e-3, 5.0, 128)
+    mode0, mode1 = wd.biharmonic_mode(metric, (0, 1), grid)
+    r = grid.nodes
+    assert np.all(np.abs(mode1.lam - ExpSquare.lam1(r)) <= mode1.lam_error)
+    assert np.all(np.abs(mode0.log_psi - np.log(ExpSquare.z0(r))) <= mode0.quadrature_error)
+    assert_allclose(mode0.log_phi, ExpSquare.log_phi(r), rtol=0.0, atol=1e-12)
+
+
+def _k_only(k, r_max):
+    return wd.MetricProfile(phi=None, phi_prime=None, log_phi=None, dlog_phi=None,
+                            r_max=r_max, k=k)   # a pass reads K alone
+
+
+def _below(a, b, rel=1e-8):
+    return np.all(a <= b + rel * np.maximum(np.abs(a), np.abs(b)))
+
+
+@settings(max_examples=40)
+@given(tail=st.tuples(st.floats(0.0, 2.0), st.floats(-2.0, 2.5), st.floats(0.5, 4.0)),
+       bump=st.tuples(st.floats(0.01, 2.0), st.floats(0.0, 50.0), st.floats(0.2, 5.0)))
+def test_more_negative_curvature_orders_the_pass_rows(tail, bump):
+    # Sturm comparison: K_a <= K_b gives phi'/phi and log phi of a at least
+    # those of b, w_0 (w_0' = 1 - (phi'/phi) w_0) and z_0 at most, and
+    # Lambda_1 = integral_1^r ds/phi at most for r >= 1; w_m and z_m with
+    # m != 0 are not ordered
+    c, p, r0 = tail
+    height, center, width = bump
+    k_b = _blended_curvature(lambda r: -c * r**p, r0)
+
+    def k_a(r):
+        return k_b(r) - height * math.exp(-(((r - center) / width) ** 2))
+
+    radii = np.geomspace(1e-3, 50.0, 64)
+    rows = []
+    for k in (k_a, k_b):
+        mp = mode_pass(_k_only(k, 50.0), (0, 1), 50.0, radii=radii)
+        lam, z = mp.lam_z(radii)
+        rows.append((*mp.profile_rows(radii), mp.inner_ratio(radii, 0), z[0], lam[1]))
+    (log_phi_a, v_a, w_a, z_a, lam_a), (log_phi_b, v_b, w_b, z_b, lam_b) = rows
+    assert _below(v_b, v_a) and _below(log_phi_b, log_phi_a)
+    assert _below(w_a, w_b) and _below(z_a, z_b)
+    outer = radii >= 1.0
+    assert _below(lam_a[outer], lam_b[outer])
 
 
 def test_mode_pass_refuses_a_profile_without_curvature(euclidean):

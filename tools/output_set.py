@@ -10,6 +10,9 @@ relative ``PYTHONPATH=src`` would not reach it from there. A subdirectory
 holds the files the command writes, its stdout (``stdout.txt``) and its
 exit code (``exit.txt``); stderr is not kept, since warnings name source
 paths. The traces the ``bvp`` runs read are written to ``OUTDIR/inputs``.
+``inprocess`` runs several of those commands in turn in one child, each
+in its own subdirectory, to show that calls in one process act as in
+fresh ones.
 Two trees written from two versions of the package are byte-identical
 exactly when ``diff -r`` reports nothing.
 The whole set takes about 5 s on two cores.
@@ -17,6 +20,7 @@ The whole set takes about 5 s on two cores.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
@@ -32,6 +36,20 @@ EUCLIDEAN = ["--profile", "euclidean"]
 HYPERBOLIC = ["--profile", "hyperbolic"]
 
 _MAIN = "import sys; from warped_disk.cli import main; sys.exit(main(sys.argv[1:]))"
+# one child: run each (subdirectory, argv) of the JSON list in argv[1] there
+_MAIN_IN_TURN = """
+import contextlib, io, json, os, sys
+from pathlib import Path
+from warped_disk.cli import main
+for name, args in json.loads(sys.argv[1]):
+    os.chdir(name)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(args)
+    Path("stdout.txt").write_text(out.getvalue())
+    Path("exit.txt").write_text(f"{code}\\n")
+    os.chdir("..")
+"""
 
 
 def _write_trace(path: Path, u: np.ndarray, lap: np.ndarray) -> None:
@@ -57,11 +75,15 @@ RUNS = {
     "classify_hyperbolic": ["classify", *HYPERBOLIC],
     "classify_quadratic": ["classify", "--profile", "quadratic-curvature", "--eta", "1"],
     "classify_log_threshold": ["classify", "--profile", "log-threshold", "--eps", "0.5"],
+    # below the horizon the numeric route needs
+    "classify_hyperbolic_h05": ["classify", *HYPERBOLIC, "--horizon", "0.5"],
     "modes_euclidean": ["modes", *EUCLIDEAN],
     "modes_power": ["modes", *POWER, "--horizon", "100", "--mmax", "2"],
     "modes_hyperbolic": ["modes", *HYPERBOLIC],
     # short decimal radii in the r column
     "modes_uniform": ["modes", *EUCLIDEAN, "--grid", "uniform,0.25,64", "--horizon", "16"],
+    # a grid below r = 1, where Lambda_m is normalized: exit 64
+    "modes_refused": ["modes", *EUCLIDEAN, "--horizon", "0.5", "--rmax", "0.6", "--mmax", "1"],
     "bvp_noisy_euclidean": ["bvp", *EUCLIDEAN, "--radius", "3", "../inputs/noisy.csv"],
     "bvp_noisy_power": ["bvp", *POWER, "--radius", "3", "../inputs/noisy.csv"],
     "bvp_noisy_hyperbolic": ["bvp", *HYPERBOLIC, "--radius", "3", "../inputs/noisy.csv"],
@@ -70,6 +92,8 @@ RUNS = {
     "verify": ["verify"],
     "verify_fault_stencil": ["verify", "--inject-fault", "stencil"],
 }
+# runs of RUNS made in turn by one child, into OUTDIR/<key>/<run>
+IN_TURN = {"inprocess": ("classify_power", "classify_euclidean", "modes_uniform")}
 
 
 def main(argv=None) -> int:
@@ -89,6 +113,13 @@ def main(argv=None) -> int:
                               cwd=run_dir, env=env, capture_output=True, text=True)
         (run_dir / "stdout.txt").write_text(proc.stdout)
         (run_dir / "exit.txt").write_text(f"{proc.returncode}\n")
+        print(f"{name}: exit {proc.returncode}")
+    for name, runs in IN_TURN.items():
+        for run in runs:
+            (root / name / run).mkdir(parents=True, exist_ok=True)
+        plan = json.dumps([(run, [*RUNS[run], "--out", "."]) for run in runs])
+        proc = subprocess.run([sys.executable, "-c", _MAIN_IN_TURN, plan],
+                              cwd=root / name, env=env, capture_output=True, text=True)
         print(f"{name}: exit {proc.returncode}")
     return 0
 
