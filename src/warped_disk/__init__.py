@@ -70,7 +70,8 @@ _NAMES = {
 }
 _EXPORTS = {name: module for module, names in _NAMES.items() for name in names}
 _SUBMODULES = frozenset((
-    "_lsoda", "_util", "asymptotics", "bvp", "cli", "errors", "geometry", "modes", "operators",
+    "_lsoda", "_util", "asymptotics", "bvp", "cli", "errors", "exact", "geometry", "modes",
+    "operators",
 ))
 
 __all__ = [*_EXPORTS, "__version__"]

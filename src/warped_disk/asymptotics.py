@@ -188,7 +188,6 @@ class EvidenceBundle:
     horizon: float
     phi_verdict: str
     z_verdict: str
-    phi_grows: bool
     phi_nondecreasing: bool
 
 
@@ -201,27 +200,22 @@ def numeric_evidence(
     """Doubling-ladder boundedness verdicts for Lambda_1 and z_0.
 
     One mode pass with m = 0 and 1 carries both and keeps only the
-    ladder radii and the profile probes, whose rows it integrates
-    itself: phi'/phi at 48 radii over the last two decades below the
-    horizon (``phi_nondecreasing``) and log phi at horizon/4 and at the
-    horizon (``phi_grows``).
+    ladder radii and the profile probe, whose rows it integrates itself:
+    phi'/phi at 48 radii over the last two decades below the horizon
+    (``phi_nondecreasing``).
     """
     horizon = profile.require_radius(horizon)
     ladder = _ladder(horizon)
     tail_r = np.geomspace(max(horizon / 100.0, 1.0), horizon, 48)
-    probe_r = np.array([horizon / 4.0, horizon])
     mp = mode_pass(profile, (0, 1), horizon, rtol=rtol, atol=atol,
-                   radii=np.concatenate((ladder, tail_r, probe_r)))
+                   radii=np.concatenate((ladder, tail_r)))
     lam, z = mp.lam_z(ladder)     # row k holds m = k
 
     _, v_tail = mp.profile_rows(tail_r)
-    log_phi, _ = mp.profile_rows(probe_r)
-    phi_grows = bool(log_phi[1] > log_phi[0] + 1e-9) and bool(log_phi[1] > math.log(10.0))
     return EvidenceBundle(
         horizon=horizon,
         phi_verdict=_increment_verdict(lam[1])[0],
         z_verdict=_increment_verdict(z[0])[0],
-        phi_grows=phi_grows,
         phi_nondecreasing=bool(np.all(v_tail >= -1e-12)),
     )
 
@@ -260,10 +254,8 @@ def _declared_labels(curv: CurvatureProfile, horizon, evidence) -> tuple[str, st
         return UNDETERMINED, UNDETERMINED, False, notes
 
     if tail.kind == "ge_milnor":
-        if evidence.phi_grows:
-            return PARABOLIC, RIGID, True, notes
-        notes.append("K >= -1/(r^2 log r) verified but phi growth not observed")
-        return UNDETERMINED, UNDETERMINED, True, notes
+        # Milnor's parabolic case, and the paper's rigid one: both read K alone
+        return PARABOLIC, RIGID, True, notes
     if tail.kind == "le_log_threshold":
         # one-sided: harmonic regime settled, biharmonic branch needs the
         # lower quadratic bound too
@@ -436,9 +428,9 @@ def export_report(report: ClassificationReport, txt_path) -> None:
     the ``route`` that set them; the ``horizon``; ``phi_ladder``, the
     Lambda_1 verdict behind the numeric harmonic label (bounded:
     hyperbolic), and ``z0_ladder``, the z_0 verdict behind the numeric
-    biharmonic label; ``phi_grows``, which gates the ``ge_milnor`` tail's
-    labels, and ``phi_nondecreasing``, the ``between`` and ``le_power``
-    tails' biharmonic label; ``declared_tail`` and ``declared_verified``,
+    biharmonic label; ``phi_nondecreasing``, which gates the ``between``
+    and ``le_power`` tails' biharmonic label (a verified ``ge_milnor``
+    tail labels from K alone); ``declared_tail`` and ``declared_verified``,
     whether the declared route may label; ``tail_fit_*``, the fit whose
     inferred inequality labels instead when no declaration verified; and
     each ``note``, why a label was withheld.
@@ -450,7 +442,6 @@ def export_report(report: ClassificationReport, txt_path) -> None:
         f"horizon = {fmt17(report.horizon)}",
         f"phi_ladder = {report.evidence.phi_verdict}",
         f"z0_ladder = {report.evidence.z_verdict}",
-        f"phi_grows = {report.evidence.phi_grows}",
         f"phi_nondecreasing = {report.evidence.phi_nondecreasing}",
         f"declared_tail = {report.declared.kind if report.declared else 'none'}",
         f"declared_verified = {report.declared_verified}",

@@ -22,10 +22,10 @@ files.
 
 Importing this module loads only the layers every command runs
 (``geometry``, ``modes`` with ``operators`` and ``_lsoda``, ``_util``
-and ``errors``). ``asymptotics`` and ``bvp`` are imported in the bodies
-of the commands and suites that run them, so ``modes`` loads neither,
-``classify`` never loads ``bvp``, and ``profiles``, ``--help`` and
-refused runs load neither.
+and ``errors``). ``asymptotics``, ``bvp`` and ``exact`` are imported in
+the bodies of the commands and suites that run them, so ``modes`` loads
+none of them, ``classify`` never loads ``bvp``, and ``profiles``,
+``--help`` and refused runs load none.
 """
 
 from __future__ import annotations
@@ -384,18 +384,44 @@ def _suite_comparison(cfg: RunConfig, out: Path) -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def _suite_roundtrip(cfg: RunConfig, out: Path) -> tuple[bool, list[str]]:
-    """Curvature IVP round trip and a disk-solve round trip."""
-    from . import bvp
+def _suite_closed_form(cfg: RunConfig, out: Path) -> tuple[bool, list[str]]:
+    """The pass rows of euclidean and hyperbolic against their closed forms.
 
+    One mode pass of m = 0 and 1 per surface, at fixed radii, against
+    ``exact.space_form``: log phi and Lambda_1 are logarithms, so their
+    absolute error is the relative error of phi and phi_1; phi'/phi, w_0
+    and z_0 are compared relatively. Each must stay within 1e-8.
+    """
+    from . import exact
+
+    radii = np.geomspace(0.01, 10.0, 24)
     lines = []
     ok = True
-    for k_val, exact in ((0.0, lambda r: r), (-1.0, np.sinh)):
-        prof = geometry.profile_from_curvature(lambda r, kv=k_val: kv, r_max=6.0)
-        rel = abs(float(prof.phi(5.0)) - exact(5.0)) / exact(5.0)
-        good = rel <= 1e-8
+    for name, k in (("euclidean", 0.0), ("hyperbolic", -1.0)):
+        surface = geometry.builtin_profile(name)
+        form = exact.space_form(k)
+        mp = modes.mode_pass(surface.metric, (0, 1), radii[-1], radii=radii)
+        lam, z = mp.lam_z(radii)
+        log_phi, dlog_phi = mp.profile_rows(radii)
+        errors = {
+            "log phi": np.abs(log_phi - form.log_phi(radii)),
+            "Lambda_1": np.abs(lam[1] - form.lam1(radii)),
+            "phi'/phi": np.abs(dlog_phi / form.dlog_phi(radii) - 1.0),
+            "w_0": np.abs(mp.inner_ratio(radii, 0) / form.w0(radii) - 1.0),
+            "z_0": np.abs(z[0] / form.z0(radii) - 1.0),
+        }
+        worst = {what: float(np.max(err)) for what, err in errors.items()}
+        good = max(worst.values()) <= 1e-8
         ok &= good
-        lines.append(f"roundtrip: K={k_val:g} rel err at r=5 = {rel:.3e} ({'ok' if good else 'FAIL'})")
+        lines.append(f"closed-form: {surface.name} max error "
+                     + ", ".join(f"{what} {err:.3e}" for what, err in worst.items())
+                     + f" ({'ok' if good else 'FAIL'})")
+    return ok, lines
+
+
+def _suite_roundtrip(cfg: RunConfig, out: Path) -> tuple[bool, list[str]]:
+    """A disk-solve round trip: known coefficients through their boundary data and back."""
+    from . import bvp, exact
 
     surface = geometry.builtin_profile("euclidean")
     rng = np.random.default_rng(7)
@@ -403,8 +429,8 @@ def _suite_roundtrip(cfg: RunConfig, out: Path) -> tuple[bool, list[str]]:
     c = rng.normal(size=2 * m_max + 1) + 1j * rng.normal(size=2 * m_max + 1)
     d = rng.normal(size=2 * m_max + 1) + 1j * rng.normal(size=2 * m_max + 1)
     radius = 2.0
-    lam_r = np.array([m * math.log(radius) for m in range(m_max + 1)])
-    z_r = np.array([radius**2 / (4.0 * (1.0 + m)) for m in range(m_max + 1)])
+    plane, ms = exact.space_form(0.0), np.arange(m_max + 1)
+    lam_r, z_r = plane.lam(ms, radius), plane.z(ms, radius)
     alpha = np.empty(2 * m_max + 1, dtype=complex)
     beta = np.empty(2 * m_max + 1, dtype=complex)
     for i, m in enumerate(range(-m_max, m_max + 1)):
@@ -420,9 +446,7 @@ def _suite_roundtrip(cfg: RunConfig, out: Path) -> tuple[bool, list[str]]:
         float(np.max(np.abs(coeffs.d - d) / np.abs(d))),
     )
     good = rel <= 1e-6
-    ok &= good
-    lines.append(f"roundtrip: disk coefficients rel err = {rel:.3e} ({'ok' if good else 'FAIL'})")
-    return ok, lines
+    return good, [f"roundtrip: disk coefficients rel err = {rel:.3e} ({'ok' if good else 'FAIL'})"]
 
 
 def _suite_regimes(cfg: RunConfig, out: Path) -> tuple[bool, list[str]]:
@@ -460,6 +484,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     suites = (
         ("stencil", _suite_stencil),
         ("comparison", _suite_comparison),
+        ("closed-form", _suite_closed_form),
         ("roundtrip", _suite_roundtrip),
         ("regimes", _suite_regimes),
     )

@@ -222,10 +222,10 @@ class MetricProfile:
     array callers map it with ``sample_curvature``. The mode passes
     integrate phi from it together with the modes and read none of the
     four evaluators; the evidence probes and both residual checks read
-    the passes' own profile rows. So no command reads a built-in's
-    evaluators. They remain for explicit reads: by library callers, and
-    by ``verify``'s round trip, which reads those of two
-    ``profile_from_curvature`` profiles. A profile without ``k`` serves
+    the passes' own profile rows, and ``verify`` checks those rows
+    against ``exact``'s closed forms. So no source line reads an
+    evaluator. They remain for explicit reads by library callers, the
+    tests and the benchmark's tracer. A profile without ``k`` serves
     only such reads; mode passes refuse it. A built-in solves its
     profile at the first read of an evaluator (see ``builtin_profile``).
     """

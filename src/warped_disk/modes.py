@@ -39,7 +39,7 @@ probes from the classify pass, and ``verify_disk_solution`` its grid from
 the dense disk pass. The residual checks difference against those rows
 and check the rows against K(r) through the Riccati equation
 (phi'/phi)' + (phi'/phi)^2 + K = 0 (``profile_residual``). No command
-reads a built-in's profile evaluators; those of
+reads a profile evaluator; those of
 ``geometry.profile_from_curvature`` and of every built-in read a dense
 pass of m = 0: this pass is the package's one ODE solve of the
 profile, and every pass raises ConjugatePointError where phi returns

@@ -9,8 +9,14 @@ from numpy.testing import assert_allclose
 
 import warped_disk as wd
 from warped_disk import asymptotics as asy
+from warped_disk import exact
 from warped_disk.geometry import _blended_curvature
 from warped_disk.modes import mode_pass
+
+
+def _k_only(k, r_max):
+    return wd.MetricProfile(phi=None, phi_prime=None, log_phi=None, dlog_phi=None,
+                            r_max=r_max, k=k)   # a pass reads K alone
 
 
 # ----------------------------------------------------------------------
@@ -72,7 +78,6 @@ def test_evidence_flat(euclidean):
     bundle = wd.numeric_evidence(euclidean.metric, horizon=1000.0)
     assert bundle.phi_verdict == "unbounded"
     assert bundle.z_verdict == "unbounded"
-    assert bundle.phi_grows
 
 
 def test_evidence_hyperbolic(hyperbolic):
@@ -92,25 +97,20 @@ def test_evidence_quadratic(quadratic1):
     assert bundle.z_verdict == "unbounded"
 
 
-@pytest.mark.parametrize("surface, z0", [
-    pytest.param("euclidean", lambda r: r * r / 4.0, id="euclidean"),
-    # 2 log cosh(r/2), written so that it does not overflow at r = 1000
-    pytest.param("hyperbolic", lambda r: r + 2.0 * np.log1p(np.exp(-r)) - 2.0 * math.log(2.0),
-                 id="hyperbolic"),
-])
-def test_z0_matches_its_closed_form(request, surface, z0):
+@pytest.mark.parametrize("surface, k", [("euclidean", 0.0), ("hyperbolic", -1.0)],
+                         ids=["euclidean", "hyperbolic"])
+def test_z0_matches_its_closed_form(request, surface, k):
     # z_0 is the radial solution of Delta u = 1 with u(0) = 0
     radii = asy._ladder(1000.0)
     _, z = mode_pass(request.getfixturevalue(surface).metric, (0, 1), 1000.0,
                      radii=radii).lam_z(radii)
-    assert_allclose(z[0], z0(radii), rtol=1e-9)
+    assert_allclose(z[0], exact.space_form(k).z0(radii), rtol=1e-9)
 
 
 def _family(k_tail, r0):
-    """A surface integrated from a blended tail, with no declared tail."""
+    """A surface from a blended tail, with no declared tail, valid to r = 1200."""
     k = _blended_curvature(k_tail, r0)
-    metric = wd.profile_from_curvature(k, r_max=1200.0)
-    return wd.Surface("family", metric, wd.CurvatureProfile(k=k))
+    return wd.Surface("family", _k_only(k, 1200.0), wd.CurvatureProfile(k=k))
 
 
 def _milnor_family(kappa):
@@ -155,9 +155,7 @@ _BLENDED_TAIL = st.tuples(st.floats(0.0, 2.0), st.floats(-2.0, 2.5), st.floats(0
 def test_every_z_m_stays_below_z_0(tail):
     # phi_2m = exp(2 Lambda_m) is nondecreasing, so w_m <= w_0 and z_m <= z_0
     c, p, r0 = tail
-    k = _blended_curvature(lambda r: -c * r**p, r0)
-    metric = wd.MetricProfile(phi=None, phi_prime=None, log_phi=None, dlog_phi=None,
-                              r_max=50.0, k=k)   # a pass reads K alone
+    metric = _k_only(_blended_curvature(lambda r: -c * r**p, r0), 50.0)
     radii = np.geomspace(1e-3, 50.0, 64)
     _, z = mode_pass(metric, range(0, 9), 50.0, radii=radii).lam_z(radii)
     assert np.all(z[1:] <= z[0] * (1.0 + 1e-9))
@@ -240,15 +238,22 @@ _TRUTH = {
 }
 
 
-@pytest.mark.parametrize("horizon", [1e-3, 0.5, 1.0, 2.0, 3.0, 8.0, 15.9, 16.0, 100.0])
+# the horizon from which each built-in must get its truth: the numeric
+# route's, or where the samples of a tail that labels alone start to verify
+_TRUTH_FROM = {"euclidean": 3.0}
+
+
+@pytest.mark.parametrize("horizon", [1e-3, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 10.0, 15.9, 16.0, 100.0])
 def test_every_builtin_label_is_its_truth_or_undetermined_at_any_horizon(all_builtins, horizon):
     # below horizon 16 the ladder's four rungs fall under r = 2 and see the
-    # surface near the origin, so only the declared route may label
+    # surface near the origin, so only the declared route may label; the
+    # plane's verified Milnor tail (from r0 = 2) labels it from K alone
     for surface in all_builtins:
         report = wd.classify_surface(surface, horizon=horizon)
         labels = (report.harmonic_regime, report.biharmonic_regime)
-        truth = _TRUTH[surface.name.split("(")[0]]
-        if horizon >= 16.0:
+        name = surface.name.split("(")[0]
+        truth = _TRUTH[name]
+        if horizon >= _TRUTH_FROM.get(name, asy.NUMERIC_MIN_HORIZON):
             assert labels == truth, surface.name
         else:
             assert all(got in (want, wd.UNDETERMINED) for got, want in zip(labels, truth)), (
@@ -258,11 +263,51 @@ def test_every_builtin_label_is_its_truth_or_undetermined_at_any_horizon(all_bui
 def test_numeric_route_is_silent_below_its_horizon():
     assert asy.NUMERIC_MIN_HORIZON == 16.0
     bundle = asy.EvidenceBundle(horizon=15.9, phi_verdict="unbounded", z_verdict="unbounded",
-                                phi_grows=True, phi_nondecreasing=True)
+                                phi_nondecreasing=True)
     h, b, notes = asy._numeric_labels(bundle)
     assert (h, b) == (wd.UNDETERMINED, wd.UNDETERMINED)
     assert notes == ["horizon 15.9 is below 16: the ladder's lowest rung would fall under "
                      "r = 2; numeric route not used"]
+
+
+@pytest.mark.parametrize("kappa", [
+    0.5,
+    pytest.param(1.0, marks=pytest.mark.xfail(strict=True, reason=(
+        "Lambda_1 grows like log log r at kappa = 1, which a ladder to r = 1000 reads as "
+        "bounded; labels at the threshold itself wait for ROADMAP.md item 3"))),
+    2.0,
+])
+def test_milnor_threshold_labels(kappa):
+    # phi = r u^kappa sits exactly on Milnor's threshold at kappa = 1, with
+    # no declared tail: kappa = 0.5 may stay undetermined, the others may not
+    entry = exact.milnor_threshold(kappa)
+    surface = wd.Surface(entry.name, _k_only(entry.k, 1200.0), wd.CurvatureProfile(k=entry.k))
+    report = wd.classify_surface(surface, horizon=1000.0)
+    labels = (report.harmonic_regime, report.biharmonic_regime)
+    if kappa == 0.5:
+        assert all(got in (want, wd.UNDETERMINED) for got, want in zip(labels, entry.truth))
+    else:
+        assert labels == entry.truth
+
+
+def _keeps(labels, label):
+    """Whether every definite label after the first ``label`` is ``label`` too."""
+    definite = [got for got in labels if got != wd.UNDETERMINED]
+    return label not in definite or set(definite[definite.index(label):]) == {label}
+
+
+def test_definite_labels_are_monotone_along_both_threshold_axes():
+    # by comparison, a more negative K is at least as hyperbolic and has a
+    # z_0 at least as bounded: along kappa in K = -kappa/(r^2 log r), and p
+    # in K = -r^2 (log r)^p, a definite label once reached is kept
+    harmonic = [wd.classify_surface(_milnor_family(kappa), horizon=1000.0).harmonic_regime
+                for kappa in np.linspace(0.5, 2.0, 8)]
+    biharmonic = [wd.classify_surface(_quadratic_log_family(p), horizon=1000.0).biharmonic_regime
+                  for p in np.linspace(0.0, 3.0, 8)]
+    assert (harmonic[0], harmonic[-1]) == (wd.PARABOLIC, wd.HYPERBOLIC), harmonic
+    assert _keeps(harmonic, wd.HYPERBOLIC), harmonic
+    assert biharmonic[-1] == wd.ADMITS_NONHARMONIC_BOUNDED, biharmonic
+    assert _keeps(biharmonic, wd.ADMITS_NONHARMONIC_BOUNDED), biharmonic
 
 
 def test_classify_rejects_other_types(euclidean):
@@ -276,12 +321,11 @@ def test_classify_rejects_other_types(euclidean):
 # guard rails: gaps stay undetermined
 # ----------------------------------------------------------------------
 
-def _fake_evidence(phi_grows=True, nondecreasing=True):
+def _fake_evidence(nondecreasing=True):
     return asy.EvidenceBundle(
         horizon=100.0,
         phi_verdict="bounded",
         z_verdict="unbounded",
-        phi_grows=phi_grows,
         phi_nondecreasing=nondecreasing,
     )
 
@@ -296,13 +340,13 @@ def test_declared_custom_tail_is_undetermined():
     assert not ok
 
 
-def test_milnor_tail_without_growth_is_undetermined(euclidean):
-    h, b, ok, notes = asy._declared_labels(
-        euclidean.curvature, 100.0, _fake_evidence(phi_grows=False)
-    )
-    assert ok  # the inequality itself verifies
-    assert (h, b) == (wd.UNDETERMINED, wd.UNDETERMINED)
-    assert any("growth" in n for n in notes)
+def test_verified_milnor_tail_labels_from_the_curvature_alone(euclidean):
+    # K >= -1/(r^2 log r) is Milnor's parabolic case and the paper's rigid
+    # one; the evidence, here that of a hyperbolic surface, plays no part
+    h, b, ok, notes = asy._declared_labels(euclidean.curvature, 100.0, _fake_evidence())
+    assert ok
+    assert (h, b) == (wd.PARABOLIC, wd.RIGID)
+    assert notes == []
 
 
 @pytest.mark.parametrize("surface, horizon", [("euclidean", 0.5), ("hyperbolic", 2.0)])
@@ -332,7 +376,7 @@ def test_fit_gap_near_threshold_gives_no_descriptor():
 
 def _bundle(phi_verdict, z_verdict):
     return asy.EvidenceBundle(horizon=100.0, phi_verdict=phi_verdict, z_verdict=z_verdict,
-                              phi_grows=True, phi_nondecreasing=True)
+                              phi_nondecreasing=True)
 
 
 def test_mixed_numeric_verdicts_undetermined():

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import warped_disk as wd
-from warped_disk import bvp
+from warped_disk import bvp, exact
 from warped_disk.geometry import RadialGrid
 from warped_disk.modes import mode_pass
 from warped_disk.operators import separated_laplacian
+
+PLANE = exact.space_form(0.0)
 
 
 def spectrum_from_arrays(m_max, alpha, beta, real_valued=False):
@@ -161,11 +163,11 @@ def test_solve_constant(euclidean):
 
 
 def test_solve_flat_paraboloid(euclidean):
-    # u = r^2/4 on the unit disk: alpha_0 = 1/4, beta_0 = 1, and
-    # psi_0(1) = 1/4 exactly, so d_0 = 1 and c_0 = 0
+    # u = z_0 on the unit disk: alpha_0 = z_0(1), beta_0 = 1, and
+    # psi_0(1) = z_0(1) exactly, so d_0 = 1 and c_0 = 0
     alpha = np.zeros(3, dtype=complex)
     beta = np.zeros(3, dtype=complex)
-    alpha[1] = 0.25
+    alpha[1] = PLANE.z0(1.0)
     beta[1] = 1.0
     spec = spectrum_from_arrays(1, alpha, beta, real_valued=True)
     coeffs = wd.solve_disk_biharmonic(euclidean.metric, 1.0, spec)
@@ -175,12 +177,12 @@ def test_solve_flat_paraboloid(euclidean):
 
 
 def test_solve_known_pair_flat(euclidean):
-    # m = +/-1 solution (r + r^3/8) cos(theta) built from c = d = (1/2, 1/2)
+    # m = +/-1 solution (phi_1 + psi_1) cos(theta) built from c = d = (1/2, 1/2)
     radius = 2.0
     c = np.array([0.5, 0.0, 0.5], dtype=complex)
     d = np.array([0.5, 0.0, 0.5], dtype=complex)
-    phi1 = radius
-    psi1 = radius**3 / 8.0
+    phi1 = np.exp(PLANE.lam(1, radius))
+    psi1 = PLANE.z(1, radius) * phi1
     alpha = np.array([c[0] * phi1 + d[0] * psi1, 0.0, c[2] * phi1 + d[2] * psi1])
     beta = np.array([d[0] * phi1, 0.0, d[2] * phi1])
     spec = spectrum_from_arrays(1, alpha, beta, real_valued=True)
@@ -323,7 +325,7 @@ def test_harmonic_degeneration(euclidean):
     spec = spectrum_from_arrays(m_max, alpha, np.zeros(9))
     coeffs = wd.solve_disk_biharmonic(euclidean.metric, 2.0, spec)
     assert np.all(coeffs.d == 0.0)
-    expected_c = alpha * np.exp(-np.abs(np.arange(-4, 5)) * math.log(2.0))
+    expected_c = alpha * np.exp(-PLANE.lam(np.arange(-4, 5), 2.0))
     assert_allclose(coeffs.c, expected_c, rtol=1e-9)
 
 
@@ -367,18 +369,18 @@ def test_evaluate_constant(euclidean):
 
 
 def test_evaluate_flat_paraboloid(euclidean):
-    # u = r^2/4 on the disk of radius 2: alpha_0 = u(2) = 1 and, under the
-    # package convention Delta(r^2/4) = 1, beta_0 = 1
+    # u = z_0 on the disk of radius 2: alpha_0 = z_0(2) and, since
+    # Delta z_0 = 1, beta_0 = 1
     alpha = np.zeros(3, dtype=complex)
     beta = np.zeros(3, dtype=complex)
-    alpha[1] = 1.0
+    alpha[1] = PLANE.z0(2.0)
     beta[1] = 1.0
     coeffs = wd.solve_disk_biharmonic(
         euclidean.metric, 2.0, spectrum_from_arrays(1, alpha, beta, real_valued=True)
     )
     for r in (0.05, 0.5, 1.3, 2.0):
         assert_allclose(
-            wd.evaluate_solution(euclidean.metric, coeffs, r, 0.7), r * r / 4.0,
+            wd.evaluate_solution(euclidean.metric, coeffs, r, 0.7), PLANE.z0(r),
             rtol=1e-6, atol=1e-9,
         )
 
@@ -465,7 +467,7 @@ def test_verify_constant_zero_residual(euclidean):
 def test_verify_flat_paraboloid_rounding(euclidean):
     alpha = np.zeros(3, dtype=complex)
     beta = np.zeros(3, dtype=complex)
-    alpha[1] = 0.25
+    alpha[1] = PLANE.z0(1.0)
     beta[1] = 1.0
     coeffs = wd.solve_disk_biharmonic(
         euclidean.metric, 1.0, spectrum_from_arrays(1, alpha, beta)

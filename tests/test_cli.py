@@ -229,17 +229,24 @@ def test_help_lists_exactly_the_flags_a_command_reads(capsys):
         assert flags == {"--help", *own}, command
 
 
-def _evaluators_raise(builtin_profile):
-    """builtin_profile whose surfaces raise on a read of any of the four evaluators."""
-    def build(*args, **kwargs):
-        surface = builtin_profile(*args, **kwargs)
+def _evaluators_raise(build):
+    """``build`` whose profiles raise on a read of any of the four evaluators.
 
+    ``build`` is ``builtin_profile``, which returns a surface, or
+    ``profile_from_curvature``, which returns a profile.
+    """
+    def raising(metric):
         def read(r):
-            raise AssertionError(f"{surface.name}: a profile evaluator was read")
+            raise AssertionError(f"{metric.name}: a profile evaluator was read")
 
-        metric = replace(surface.metric, phi=read, phi_prime=read, log_phi=read, dlog_phi=read)
-        return geometry.Surface(surface.name, metric, surface.curvature)
-    return build
+        return replace(metric, phi=read, phi_prime=read, log_phi=read, dlog_phi=read)
+
+    def wrapped(*args, **kwargs):
+        built = build(*args, **kwargs)
+        if isinstance(built, geometry.Surface):
+            return geometry.Surface(built.name, raising(built.metric), built.curvature)
+        return raising(built)
+    return wrapped
 
 
 @pytest.mark.parametrize("argv", [
@@ -256,7 +263,8 @@ def _evaluators_raise(builtin_profile):
     pytest.param(["verify"], id="verify"),
 ])
 def test_no_command_reads_a_builtin_profile_evaluator(tmp_path, monkeypatch, argv):
-    monkeypatch.setattr(geometry, "builtin_profile", _evaluators_raise(geometry.builtin_profile))
+    for build in ("builtin_profile", "profile_from_curvature"):
+        monkeypatch.setattr(geometry, build, _evaluators_raise(getattr(geometry, build)))
     if argv[0] == "bvp":
         argv = [*argv, _trace_file(tmp_path)]
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
@@ -509,6 +517,31 @@ def test_comparison_suite_finds_no_conclusion_failure(tmp_path):
     ok, lines = cli._suite_comparison(cli.RunConfig(), tmp_path)
     assert ok
     assert lines == ["comparison: 200 randomized pairs, 0 conclusion failures (ok)"]
+
+
+def test_closed_form_suite_passes(tmp_path):
+    ok, lines = cli._suite_closed_form(cli.RunConfig(), tmp_path)
+    assert ok
+    assert [line.split()[1] for line in lines] == ["euclidean", "hyperbolic"]
+    assert all(line.endswith("(ok)") for line in lines)
+
+
+def test_closed_form_suite_catches_a_curvature_off_by_1e_7(tmp_path, monkeypatch):
+    # hyperbolic integrated at K = -(1 + 1e-7): its rows leave the closed
+    # forms of K = -1 by more than the suite's 1e-8
+    build = geometry.builtin_profile
+
+    def perturbed(name, **kwargs):
+        surface = build(name, **kwargs)
+        if surface.name != "hyperbolic":
+            return surface
+        metric = replace(surface.metric, k=lambda r: -(1.0 + 1e-7))
+        return geometry.Surface(surface.name, metric, surface.curvature)
+
+    monkeypatch.setattr(geometry, "builtin_profile", perturbed)
+    ok, lines = cli._suite_closed_form(cli.RunConfig(), tmp_path)
+    assert not ok
+    assert [line.endswith("(FAIL)") for line in lines] == [False, True]
 
 
 def test_stencil_suite_passes(tmp_path):

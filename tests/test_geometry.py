@@ -10,9 +10,18 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import warped_disk as wd
-from warped_disk import _lsoda, geometry
+from warped_disk import _lsoda, exact, geometry
 from warped_disk.geometry import RadialGrid, read_profile_file
 from warped_disk.operators import sample_derivatives
+
+PLANE = exact.space_form(0.0)
+HYPERBOLIC = exact.space_form(-1.0)
+
+
+def closed_phi(form, r):
+    """phi and phi' of a table entry: exp(log phi) and phi times phi'/phi."""
+    phi = np.exp(form.log_phi(r))
+    return phi, phi * form.dlog_phi(r)
 
 
 def analytic_profile(phi, dphi, r_max=50.0):
@@ -86,13 +95,14 @@ def test_curvature_domain_errors(euclidean):
 
 
 def test_log_derivative_flat(euclidean):
-    assert_allclose(euclidean.metric.dlog_phi(4.0), 0.25, rtol=1e-14)
+    assert_allclose(euclidean.metric.dlog_phi(4.0), PLANE.dlog_phi(4.0), rtol=1e-14)
 
 
 def test_log_derivative_hyperbolic(hyperbolic):
-    assert_allclose(hyperbolic.metric.dlog_phi(3.0), 1.0 / math.tanh(3.0), rtol=1e-12)
+    assert_allclose(hyperbolic.metric.dlog_phi(3.0), HYPERBOLIC.dlog_phi(3.0), rtol=1e-12)
     # coth 40 = 1 to double precision; the profile pass carries its own error
-    assert_allclose(hyperbolic.metric.dlog_phi(40.0), 1.0, rtol=geometry.DEFAULT_RTOL)
+    assert_allclose(hyperbolic.metric.dlog_phi(40.0), HYPERBOLIC.dlog_phi(40.0),
+                    rtol=geometry.DEFAULT_RTOL)
 
 
 def test_log_derivative_quadratic_growth(quadratic1):
@@ -107,67 +117,58 @@ def test_log_derivative_quadratic_growth(quadratic1):
 # ----------------------------------------------------------------------
 
 def test_ivp_flat():
-    prof = wd.profile_from_curvature(lambda r: 0.0, r_max=6.0)
+    prof = wd.profile_from_curvature(PLANE.k, r_max=6.0)
     for r in (0.5, 1.0, 5.0):
-        assert_allclose(float(prof.phi(r)), r, rtol=1e-8)
+        assert_allclose(float(prof.phi(r)), closed_phi(PLANE, r)[0], rtol=1e-8)
 
 
 def test_ivp_ending_below_unit_radius():
     # the profile pass holds m = 0 alone, which needs no anchor at r = 1
-    prof = wd.profile_from_curvature(lambda r: -1.0, r_max=0.5)
+    prof = wd.profile_from_curvature(HYPERBOLIC.k, r_max=0.5)
     for r in (1e-7, 0.1, 0.5):
-        assert_allclose(float(prof.phi(r)), math.sinh(r), rtol=1e-8)
+        assert_allclose(float(prof.phi(r)), closed_phi(HYPERBOLIC, r)[0], rtol=1e-8)
 
 
 def test_ivp_hyperbolic():
-    prof = wd.profile_from_curvature(lambda r: -1.0, r_max=6.0)
+    prof = wd.profile_from_curvature(HYPERBOLIC.k, r_max=6.0)
     for r in (0.5, 1.0, 5.0):
-        assert_allclose(float(prof.phi(r)), math.sinh(r), rtol=1e-8)
-    assert_allclose(float(prof.phi_prime(5.0)), math.cosh(5.0), rtol=1e-8)
+        assert_allclose(float(prof.phi(r)), closed_phi(HYPERBOLIC, r)[0], rtol=1e-8)
+    assert_allclose(float(prof.phi_prime(5.0)), closed_phi(HYPERBOLIC, 5.0)[1], rtol=1e-8)
 
 
 def test_ivp_sphere_conjugate_point():
+    sphere = exact.space_form(1.0)
     with pytest.raises(wd.ConjugatePointError) as err:
-        wd.profile_from_curvature(lambda r: 1.0, r_max=6.0)
-    assert 3.1405 <= err.value.radius <= 3.1427
+        wd.profile_from_curvature(sphere.k, r_max=6.0)
+    assert abs(err.value.radius - sphere.r_max) <= 1.1e-3
 
 
 def test_ivp_origin_seed_past_the_first_zero_names_the_conjugate_point():
     # K(0) ORIGIN_STEP^2 >= 6: the origin series leaves phi(ORIGIN_STEP) <= 0
+    sphere = exact.space_form(1e13)
     with pytest.raises(wd.ConjugatePointError) as err:
-        wd.profile_from_curvature(lambda r: 1e13, r_max=1.0)
-    assert err.value.radius == math.pi / math.sqrt(1e13)
-
-
-def _constant_curvature_closed_form(k, r):
-    """(log phi, phi'/phi) of the K = k space form: sin, r or sinh."""
-    if k > 0.0:
-        s = math.sqrt(k)
-        return np.log(np.sin(s * r) / s), s / np.tan(s * r)
-    if k < 0.0:
-        s = math.sqrt(-k)
-        # log(sinh(s r) / s) without overflow
-        return s * r - math.log(2.0 * s) + np.log(-np.expm1(-2.0 * s * r)), s / np.tanh(s * r)
-    return np.log(r), 1.0 / r
+        wd.profile_from_curvature(sphere.k, r_max=1.0)
+    assert err.value.radius == sphere.r_max
 
 
 @settings(max_examples=30)
 @given(st.floats(-4.0, 4.0).map(lambda k: round(k, 3)))
 def test_ivp_constant_curvature_matches_closed_form(k):
     # rounding keeps K = 0 exact and |K| >= 1e-3, so pi/sqrt(K) stays small
-    r_max = 40.0 if k <= 0.0 else 0.9 * math.pi / math.sqrt(k)
-    prof = wd.profile_from_curvature(lambda r: k, r_max=r_max)
+    form = exact.space_form(k)
+    r_max = 40.0 if k <= 0.0 else 0.9 * form.r_max
+    prof = wd.profile_from_curvature(form.k, r_max=r_max)
     r = np.geomspace(1e-3, r_max, 200)
-    log_phi, dlog_phi = _constant_curvature_closed_form(k, r)
+    log_phi, dlog_phi = form.log_phi(r), form.dlog_phi(r)
     assert np.all(np.abs(prof.log_phi(r) - log_phi) <= 1e-7)
     # relative to the curvature scale too: for K > 0, phi'/phi crosses
     # zero at pi / (2 sqrt(K))
     scale = np.maximum(np.abs(dlog_phi), math.sqrt(abs(k)))
     assert np.all(np.abs(prof.dlog_phi(r) - dlog_phi) <= 1e-7 * scale)
     if k > 0.0:
-        first_zero = math.pi / math.sqrt(k)
+        first_zero = form.r_max
         with pytest.raises(wd.ConjugatePointError) as err:
-            wd.profile_from_curvature(lambda r: k, r_max=1.5 * first_zero)
+            wd.profile_from_curvature(form.k, r_max=1.5 * first_zero)
         assert abs(err.value.radius - first_zero) <= 1e-8 * first_zero
 
 
@@ -286,21 +287,21 @@ def test_builtin_euclidean(euclidean):
     # K = 0 keeps the pass state (log(phi/r), phi'/phi - 1/r) at 0, so the
     # evaluators are the closed forms exactly
     r = np.geomspace(1e-7, euclidean.metric.r_max, 301)
-    np.testing.assert_array_equal(euclidean.metric.phi(r), r)
-    np.testing.assert_array_equal(euclidean.metric.phi_prime(r), np.ones_like(r))
-    np.testing.assert_array_equal(euclidean.metric.log_phi(r), np.log(r))
-    np.testing.assert_array_equal(euclidean.metric.dlog_phi(r), 1.0 / r)
+    np.testing.assert_array_equal(euclidean.metric.log_phi(r), PLANE.log_phi(r))
+    np.testing.assert_array_equal(euclidean.metric.dlog_phi(r), PLANE.dlog_phi(r))
+    phi, phi_prime = closed_phi(PLANE, r)
+    assert_allclose(euclidean.metric.phi(r), phi, rtol=1e-14)
+    assert_allclose(euclidean.metric.phi_prime(r), phi_prime, rtol=1e-14)
 
 
 def test_builtin_hyperbolic(hyperbolic):
-    assert_allclose(float(hyperbolic.metric.phi(1.0)), 1.1752011936438014, rtol=1e-12)
+    assert_allclose(float(hyperbolic.metric.phi(1.0)), closed_phi(HYPERBOLIC, 1.0)[0], rtol=1e-12)
     r = np.geomspace(1e-3, 200.0, 301)
-    assert_allclose(hyperbolic.metric.phi(r), np.sinh(r), rtol=1e-7)
-    assert_allclose(hyperbolic.metric.phi_prime(r), np.cosh(r), rtol=1e-7)
-    # log sinh r and coth r without overflow
-    assert_allclose(hyperbolic.metric.log_phi(r),
-                    r - math.log(2.0) + np.log(-np.expm1(-2.0 * r)), rtol=1e-9, atol=1e-9)
-    assert_allclose(hyperbolic.metric.dlog_phi(r), 1.0 / np.tanh(r), rtol=1e-10)
+    phi, phi_prime = closed_phi(HYPERBOLIC, r)
+    assert_allclose(hyperbolic.metric.phi(r), phi, rtol=1e-7)
+    assert_allclose(hyperbolic.metric.phi_prime(r), phi_prime, rtol=1e-7)
+    assert_allclose(hyperbolic.metric.log_phi(r), HYPERBOLIC.log_phi(r), rtol=1e-9, atol=1e-9)
+    assert_allclose(hyperbolic.metric.dlog_phi(r), HYPERBOLIC.dlog_phi(r), rtol=1e-10)
 
 
 def test_builtin_phi_overflows_to_inf_without_warning(hyperbolic, power1):
@@ -406,7 +407,7 @@ def test_origin_smoothness_integrated_profiles(power1, quadratic1, log_threshold
 def test_round_trip_reproduces_builtin(hyperbolic):
     prof = wd.profile_from_curvature(hyperbolic.curvature, r_max=8.0)
     r = np.linspace(0.25, 7.5, 30)
-    assert_allclose(prof.phi(r), np.sinh(r), rtol=1e-8)
+    assert_allclose(prof.phi(r), closed_phi(HYPERBOLIC, r)[0], rtol=1e-8)
 
 
 def test_origin_normalization(all_builtins):

@@ -43,7 +43,7 @@ def _run(script, *args):
 _LOADED_LAYERS = """
 import contextlib, io, sys
 from pathlib import Path
-NAMES = ("warped_disk.asymptotics", "warped_disk.bvp", "configparser")
+NAMES = ("warped_disk.asymptotics", "warped_disk.bvp", "warped_disk.exact", "configparser")
 out = Path(sys.argv[1])
 loaded = {}
 import warped_disk.cli as cli

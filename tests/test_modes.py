@@ -10,14 +10,14 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
 import warped_disk as wd
-from warped_disk import _lsoda, modes
+from warped_disk import _lsoda, exact, modes
 from warped_disk.geometry import RadialGrid, _blended_curvature
 from warped_disk.modes import export_mode_csv, mode_pass
 from warped_disk.operators import separated_laplacian
 
-from surfaces import ExpSquare
-
 TIGHT = dict(rtol=1e-10, atol=1e-12)
+PLANE = exact.space_form(0.0)
+HYPERBOLIC = exact.space_form(-1.0)
 
 
 # ----------------------------------------------------------------------
@@ -27,7 +27,7 @@ TIGHT = dict(rtol=1e-10, atol=1e-12)
 def test_flat_mode_is_power(euclidean):
     grid = RadialGrid.geometric(0.1, 10.0, 201)
     mode = wd.biharmonic_mode(euclidean.metric, 3, grid, **TIGHT)
-    assert_allclose(mode.lam, 3.0 * np.log(grid.nodes), atol=1e-8)
+    assert_allclose(mode.lam, PLANE.lam(3, grid.nodes), atol=1e-8)
 
 
 def test_zero_mode_is_trivial(euclidean):
@@ -45,11 +45,9 @@ def test_mode_symmetry_in_m(hyperbolic):
 
 
 def test_hyperbolic_mode_closed_form(hyperbolic):
-    # integral of ds/sinh s from 1 to r is log tanh(r/2) - log tanh(1/2)
     grid = RadialGrid.geometric(0.25, 30.0, 121)
     mode = wd.biharmonic_mode(hyperbolic.metric, 1, grid, **TIGHT)
-    exact = np.log(np.tanh(grid.nodes / 2.0)) - math.log(math.tanh(0.5))
-    assert_allclose(mode.lam, exact, atol=1e-8)
+    assert_allclose(mode.lam, HYPERBOLIC.lam1(grid.nodes), atol=1e-8)
 
 
 def test_mode_normalized_at_one(euclidean, hyperbolic):
@@ -68,7 +66,7 @@ def test_mode_monotone(log_threshold):
 def test_error_bounds_are_conservative(euclidean):
     grid = RadialGrid.geometric(0.1, 10.0, 101)
     mode = wd.biharmonic_mode(euclidean.metric, 5, grid, **TIGHT)
-    actual = np.abs(mode.lam - 5.0 * np.log(grid.nodes))
+    actual = np.abs(mode.lam - PLANE.lam(5, grid.nodes))
     assert np.all(actual <= mode.lam_error + 1e-11)
 
 
@@ -93,18 +91,15 @@ def test_lam_error_covers_a_node_where_the_pass_gap_vanishes(euclidean):
     # while the tight pass is off by 1.1e-9 |m| there
     grid = RadialGrid.geometric(0.00094, 11.4, 530)
     for mode in wd.biharmonic_mode(euclidean.metric, range(4), grid, rtol=1e-7, atol=1e-9):
-        actual = np.abs(mode.lam - mode.m * np.log(grid.nodes))
+        actual = np.abs(mode.lam - PLANE.lam(mode.m, grid.nodes))
         assert np.all(actual <= mode.lam_error), mode.m
 
 
-_CLOSED_FORM_LAMBDA = {
-    "euclidean": np.log,
-    "hyperbolic": lambda r: np.log(np.tanh(r / 2.0)) - math.log(math.tanh(0.5)),
-}
+_CLOSED_FORM = {"euclidean": PLANE, "hyperbolic": HYPERBOLIC}
 
 
 @settings(max_examples=30)
-@given(surface=st.sampled_from(sorted(_CLOSED_FORM_LAMBDA)),
+@given(surface=st.sampled_from(sorted(_CLOSED_FORM)),
        log_rtol=st.floats(math.log10(3.2e-10), -5.0),
        ms=st.sets(st.integers(0, 8), min_size=1),
        r_min=st.floats(1e-4, 1e-1), r_max=st.floats(3.0, 1000.0), n=st.integers(32, 600))
@@ -113,21 +108,45 @@ def test_lam_error_covers_the_closed_form_at_every_node(request, surface, log_rt
     metric = request.getfixturevalue(surface).metric
     rtol = 10.0 ** log_rtol
     grid = RadialGrid.geometric(r_min, r_max, n)
-    unit = _CLOSED_FORM_LAMBDA[surface](grid.nodes)   # Lambda_1
+    form = _CLOSED_FORM[surface]
     for mode in wd.biharmonic_mode(metric, sorted(ms), grid, rtol=rtol, atol=rtol / 100.0):
-        actual = np.abs(mode.lam - mode.m * unit)
+        actual = np.abs(mode.lam - form.lam(mode.m, grid.nodes))
         assert np.all(actual <= mode.lam_error), mode.m
 
 
 def test_exp_square_surface_is_within_its_bounds_at_every_node():
     # phi = r e^{r^2}, integrated from K = -6 - 4r^2 alone
-    metric = wd.profile_from_curvature(ExpSquare.k, r_max=5.0)
+    surface = exact.exp_square
+    metric = wd.profile_from_curvature(surface.k, r_max=5.0)
     grid = RadialGrid.geometric(1e-3, 5.0, 128)
     mode0, mode1 = wd.biharmonic_mode(metric, (0, 1), grid)
     r = grid.nodes
-    assert np.all(np.abs(mode1.lam - ExpSquare.lam1(r)) <= mode1.lam_error)
-    assert np.all(np.abs(mode0.log_psi - np.log(ExpSquare.z0(r))) <= mode0.quadrature_error)
-    assert_allclose(mode0.log_phi, ExpSquare.log_phi(r), rtol=0.0, atol=1e-12)
+    assert np.all(np.abs(mode1.lam - surface.lam1(r)) <= mode1.lam_error)
+    assert np.all(np.abs(mode0.log_psi - np.log(surface.z0(r))) <= mode0.quadrature_error)
+    assert_allclose(mode0.log_phi, surface.log_phi(r), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
+def test_milnor_threshold_is_within_its_bounds(kappa):
+    # no closed form: Lambda_1 and z_0 of phi = r u^kappa by quadrature of
+    # the table's phi, Lambda_1 in t = log s, where its integrand is smooth
+    entry = exact.milnor_threshold(kappa)
+    grid = RadialGrid.geometric(1e-2, 1000.0, 64)
+    mode0, mode1 = wd.biharmonic_mode(_k_only(entry.k, 1000.0), (0, 1), grid)
+
+    def phi(s):
+        return math.exp(float(entry.log_phi(s)))
+
+    def w0(s):
+        return quad(phi, 0.0, s, epsabs=0.0, epsrel=1e-13)[0] / phi(s)
+
+    for i in (0, 20, 40, 63):
+        r = float(grid.nodes[i])
+        lam1, _ = quad(lambda t: math.exp(t) / phi(math.exp(t)), 0.0, math.log(r),
+                       epsabs=1e-14, epsrel=1e-13)
+        z0, _ = quad(w0, 0.0, r, epsabs=0.0, epsrel=1e-12, limit=200)
+        assert abs(mode1.lam[i] - lam1) <= mode1.lam_error[i], r
+        assert abs(mode0.log_psi[i] - math.log(z0)) <= mode0.quadrature_error[i], r
 
 
 def _k_only(k, r_max):
@@ -193,36 +212,34 @@ def test_mode_rejects_nonpositive_grid_start(euclidean):
 def test_flat_reduction_factor_m0(euclidean):
     grid = RadialGrid.geometric(0.1, 10.0, 101)
     mode = wd.biharmonic_mode(euclidean.metric, 0, grid, **TIGHT)
-    assert_allclose(mode.z, grid.nodes**2 / 4.0, rtol=1e-6)
+    assert_allclose(mode.z, PLANE.z(0, grid.nodes), rtol=1e-6)
     assert np.all(mode.quadrature_error >= 0.0)
 
 
 def test_flat_reduction_factor_m1(euclidean):
     grid = RadialGrid.geometric(0.1, 10.0, 101)
     z = wd.biharmonic_mode(euclidean.metric, 1, grid, **TIGHT).z
-    assert_allclose(z, grid.nodes**2 / 8.0, rtol=1e-6)
+    assert_allclose(z, PLANE.z(1, grid.nodes), rtol=1e-6)
 
 
 def test_flat_biharmonic_mode_m2(euclidean):
     grid = RadialGrid.geometric(0.1, 10.0, 101)
     mode = wd.biharmonic_mode(euclidean.metric, 2, grid, **TIGHT)
-    assert_allclose(np.exp(mode.log_psi), grid.nodes**4 / 12.0, rtol=1e-6)
+    psi = np.exp(PLANE.lam(2, grid.nodes)) * PLANE.z(2, grid.nodes)
+    assert_allclose(np.exp(mode.log_psi), psi, rtol=1e-6)
     assert_allclose(mode.log_psi, mode.lam + np.log(mode.z), rtol=0.0, atol=0.0)
 
 
 def test_hyperbolic_psi0_against_direct_quadrature(hyperbolic):
-    # inner integral of sinh is cosh - 1, so psi_0(r) is the integral of
-    # (cosh s - 1)/sinh s; evaluate that directly as the oracle
+    # psi_0 = z_0 is the integral of w_0; evaluate that directly as the oracle
     grid = RadialGrid.geometric(0.5, 12.0, 41)
     mode = wd.biharmonic_mode(hyperbolic.metric, 0, grid, **TIGHT)
     for idx in (0, 10, 25, 40):
-        r = grid.nodes[idx]
-        oracle, quad_err = quad(lambda s: (math.cosh(s) - 1.0) / math.sinh(s), 0.0, r)
+        oracle, quad_err = quad(HYPERBOLIC.w0, 0.0, grid.nodes[idx])
         assert quad_err < 1e-9
         assert_allclose(mode.z[idx], oracle, rtol=1e-7)
     # and the closed form of that integral keeps growing (unbounded mode)
-    closed = 2.0 * np.log(np.cosh(grid.nodes / 2.0))
-    assert_allclose(mode.z, closed, rtol=1e-7)
+    assert_allclose(mode.z, HYPERBOLIC.z0(grid.nodes), rtol=1e-7)
 
 
 def test_biharmonic_mode_invariants(power1):
@@ -263,9 +280,9 @@ def test_shared_pass_flat_closed_forms(euclidean):
     lams, zs = mp.lam_z(r)
     for m in range(9):
         lam, w, z = lams[m], mp.inner_ratio(r, m), zs[m]
-        assert_allclose(lam, m * np.log(r), rtol=1e-8, atol=1e-8 * m)
-        assert_allclose(w, r / (2.0 + 2.0 * m), rtol=1e-8)
-        assert_allclose(z, r * r / (4.0 + 4.0 * m), rtol=1e-8)
+        assert_allclose(lam, PLANE.lam(m, r), rtol=1e-8, atol=1e-8 * m)
+        assert_allclose(w, PLANE.w(m, r), rtol=1e-8)
+        assert_allclose(z, PLANE.z(m, r), rtol=1e-8)
         assert_array_equal(mp.inner_ratio(r, -m), w)
 
 
@@ -344,12 +361,13 @@ def _run_pass(path, metric):
 def test_stopped_pass_raises_without_a_warning(euclidean, path, monkeypatch):
     # K = 1e6 makes phi oscillate with period 2 pi / 1000: its first zero,
     # r = pi/1000, is a conjugate point, named in the error alone
-    stiff = dataclasses.replace(euclidean.metric, k=lambda r: 1e6)
+    sphere = exact.space_form(1e6)
+    stiff = dataclasses.replace(euclidean.metric, k=sphere.k)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(wd.ConjugatePointError) as info:
             _run_pass(path, stiff)
-        assert info.value.radius == pytest.approx(math.pi / 1000.0, rel=1e-6)
+        assert info.value.radius == pytest.approx(sphere.r_max, rel=1e-6)
 
         # a stop where phi is not collapsing keeps LSODA's reason
         def stop(*args, **kwargs):
@@ -366,8 +384,9 @@ def test_stopped_pass_raises_without_a_warning(euclidean, path, monkeypatch):
 @pytest.mark.parametrize("path", ["radii", "dense", "biharmonic_mode"])
 def test_every_pass_names_the_conjugate_point(euclidean, path, k):
     # phi = sin(sqrt(K) r) / sqrt(K) returns to zero at pi / sqrt(K)
-    first_zero = math.pi / math.sqrt(k)
-    sphere = dataclasses.replace(euclidean.metric, k=lambda r: k)
+    form = exact.space_form(k)
+    first_zero = form.r_max
+    sphere = dataclasses.replace(euclidean.metric, k=form.k)
     nodes = np.geomspace(0.1 * first_zero, 1.6 * first_zero, 20)
     with pytest.raises(wd.ConjugatePointError) as info:
         if path == "radii":
@@ -381,10 +400,11 @@ def test_every_pass_names_the_conjugate_point(euclidean, path, k):
 
 def test_origin_seed_past_the_first_zero_names_the_conjugate_point(euclidean):
     # K(0) t0^2 >= 6 (t0 = 1e-5 here): the origin series leaves phi(t0) <= 0
-    sphere = dataclasses.replace(euclidean.metric, k=lambda r: 1e11)
+    form = exact.space_form(1e11)
+    sphere = dataclasses.replace(euclidean.metric, k=form.k)
     with pytest.raises(wd.ConjugatePointError) as info:
         mode_pass(sphere, [0, 1], 1.0)
-    assert info.value.radius == math.pi / math.sqrt(1e11)
+    assert info.value.radius == form.r_max
 
 
 def test_biharmonic_mode_return_shape(euclidean):
@@ -419,12 +439,11 @@ def test_biharmonic_mode_set_matches_single_calls(request, surface, ms, grid):
 
 
 def test_biharmonic_mode_set_flat_closed_form(euclidean):
-    # psi_m = r^m * r^2 / (4 (1 + m)) on the plane
     grid = RadialGrid.geometric(1e-3, 1000.0, 512)
     r = grid.nodes
     for m, mode in enumerate(wd.biharmonic_mode(euclidean.metric, range(9), grid)):
-        exact = m * np.log(r) + np.log(r * r / (4.0 * (1.0 + m)))
-        assert np.all(np.abs(mode.log_psi - exact) <= mode.quadrature_error)
+        log_psi = PLANE.lam(m, r) + np.log(PLANE.z(m, r))
+        assert np.all(np.abs(mode.log_psi - log_psi) <= mode.quadrature_error)
 
 
 # ----------------------------------------------------------------------
@@ -433,14 +452,14 @@ def test_biharmonic_mode_set_flat_closed_form(euclidean):
 
 def test_mean_integral_ratio_flat(euclidean):
     s = np.array([0.5, 2.0, 40.0])
-    assert_allclose(mode_pass(euclidean.metric, 0, 40.0).inner_ratio(s), s / 2.0, rtol=1e-8)
+    assert_allclose(mode_pass(euclidean.metric, 0, 40.0).inner_ratio(s), PLANE.w0(s), rtol=1e-8)
 
 
 def test_mean_integral_ratio_hyperbolic(hyperbolic):
     mp = mode_pass(hyperbolic.metric, 0, 60.0)
     s = np.array([1.0, 5.0, 30.0])
-    assert_allclose(mp.inner_ratio(s), np.tanh(s / 2.0), rtol=1e-8)
-    assert_allclose(mp.inner_ratio(60.0), 1.0, rtol=1e-8)
+    assert_allclose(mp.inner_ratio(s), HYPERBOLIC.w0(s), rtol=1e-8)
+    assert_allclose(mp.inner_ratio(60.0), HYPERBOLIC.w0(60.0), rtol=1e-8)
 
 
 def test_mean_integral_ratio_power_decay(power1):
@@ -550,11 +569,11 @@ def test_pair_check_equals_separate_checks(request, surface, ms, grid, forms):
 @pytest.mark.parametrize("surface, ms, grid, forms",
                          [case for case in _PAIR_CASES if case[0] == "euclidean"])
 def test_flat_rows_give_the_closed_form_residuals(euclidean, surface, ms, grid, forms):
-    # on K = 0 the pass rows are log r and 1/r exactly, so the residuals
+    # on K = 0 the pass rows are the closed forms exactly, so the residuals
     # equal those of the closed-form evaluators bit for bit
     for mode in wd.biharmonic_mode(euclidean.metric, ms, grid):
-        assert_array_equal(mode.log_phi, np.log(grid.nodes))
-        assert_array_equal(mode.dlog_phi, 1.0 / grid.nodes)
+        assert_array_equal(mode.log_phi, PLANE.log_phi(grid.nodes))
+        assert_array_equal(mode.dlog_phi, PLANE.dlog_phi(grid.nodes))
         rep = wd.verify_mode_residuals(euclidean.metric, mode)
         assert (rep.harmonic, rep.biharmonic) == _separate_residuals(mode, euclidean.metric)
 
@@ -606,7 +625,7 @@ def test_mode_csv_columns(tmp_path, euclidean):
     assert len(lines) == 10
     row = lines[1].split(",")
     assert_allclose(float(row[0]), 0.5)
-    assert_allclose(float(row[2]), 0.5**2 / 8.0, rtol=1e-6)
+    assert_allclose(float(row[2]), PLANE.z(1, 0.5), rtol=1e-6)
 
 
 def test_mode_csv_reads_back_bit_for_bit(tmp_path, hyperbolic):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import warped_disk as wd
+from warped_disk import exact
 from warped_disk.geometry import RadialGrid
 from warped_disk.operators import sample_derivatives, separated_laplacian
 
@@ -27,7 +28,7 @@ def test_flat_laplacian_of_r_squared(euclidean):
 
 def test_flat_m2_harmonic(euclidean):
     grid = RadialGrid.uniform(0.5, 2.0, 101)
-    out = apply_linear(euclidean.metric, 2, grid, grid.nodes**2)
+    out = apply_linear(euclidean.metric, 2, grid, np.exp(exact.space_form(0.0).lam(2, grid.nodes)))
     assert_allclose(out[1:-1], 0.0, atol=1e-10)
 
 
@@ -47,15 +48,17 @@ def test_rows_with_their_own_m_equal_one_row_calls(form):
     x = np.sort(rng.uniform(0.5, 3.0, 40))
     f = rng.normal(size=(7, 40))
     m = np.arange(-3, 4)
-    kw = {"phi": x} if form == "linear" else {"log_phi": np.log(x)}
-    rows = separated_laplacian(m, x, f, 1.0 / x, **kw)
+    plane = exact.space_form(0.0)
+    log_phi, v = plane.log_phi(x), plane.dlog_phi(x)
+    kw = {"phi": np.exp(log_phi)} if form == "linear" else {"log_phi": log_phi}
+    rows = separated_laplacian(m, x, f, v, **kw)
     assert rows.shape == f.shape
     for i in range(7):
-        one = separated_laplacian(int(m[i]), x, f[i], 1.0 / x, **kw)
+        one = separated_laplacian(int(m[i]), x, f[i], v, **kw)
         assert np.array_equal(rows[i, 1:-1], one[1:-1])
         assert_allclose(rows[i], one, rtol=1e-12, atol=1e-12)
-    same_m = separated_laplacian(2, x, f, 1.0 / x, **kw)
-    assert np.array_equal(same_m[3, 1:-1], separated_laplacian(2, x, f[3], 1.0 / x, **kw)[1:-1])
+    same_m = separated_laplacian(2, x, f, v, **kw)
+    assert np.array_equal(same_m[3, 1:-1], separated_laplacian(2, x, f[3], v, **kw)[1:-1])
 
 
 def test_laplacian_preconditions(euclidean):

@@ -77,6 +77,8 @@ RUNS = {
     "classify_log_threshold": ["classify", "--profile", "log-threshold", "--eps", "0.5"],
     # below the horizon the numeric route needs
     "classify_hyperbolic_h05": ["classify", *HYPERBOLIC, "--horizon", "0.5"],
+    # the plane's verified Milnor tail labels it there from K alone
+    "classify_euclidean_h5": ["classify", *EUCLIDEAN, "--horizon", "5"],
     "modes_euclidean": ["modes", *EUCLIDEAN],
     "modes_power": ["modes", *POWER, "--horizon", "100", "--mmax", "2"],
     "modes_hyperbolic": ["modes", *HYPERBOLIC],
