@@ -430,7 +430,7 @@ def _suite_roundtrip(cfg: RunConfig, out: Path) -> tuple[bool, list[str]]:
     d = rng.normal(size=2 * m_max + 1) + 1j * rng.normal(size=2 * m_max + 1)
     radius = 2.0
     plane, ms = exact.space_form(0.0), np.arange(m_max + 1)
-    lam_r, z_r = plane.lam(ms, radius), plane.z(ms, radius)
+    lam_r, z_r = plane.lam(ms, radius), plane.z_m(ms, radius)
     alpha = np.empty(2 * m_max + 1, dtype=complex)
     beta = np.empty(2 * m_max + 1, dtype=complex)
     for i, m in enumerate(range(-m_max, m_max + 1)):

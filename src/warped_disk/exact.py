@@ -9,8 +9,8 @@ its modes follow from phi by quadrature:
 with Lambda_m = |m| Lambda_1; z_0 is the radial solution of Delta u = 1
 with u(0) = 0. Each ``ExactSurface`` holds K as a function of one float,
 as the package takes it (``MetricProfile.k``), beside closed forms of
-log phi, phi'/phi, Lambda_1, w_0 and z_0, and the regime labels the
-theory gives the surface. The closed forms take arrays of radii, and
+log phi, phi'/phi, Lambda_1, w_0 and z_0, and, where a test classifies
+it, the regime labels the theory gives the surface. The closed forms take arrays of radii, and
 stay finite where phi overflows doubles. This table is the package's one
 copy of them: the tests and ``verify``'s closed-form suite check the
 mode passes against it.
@@ -28,13 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
-
 __all__ = ["ExactSurface", "space_form", "exp_square", "milnor_threshold", "ein"]
-
-# the labels of asymptotics, written out so that reading the table loads no classifier
-_PARABOLIC_RIGID = ("parabolic", "rigid")
-_HYPERBOLIC_LIOUVILLE = ("hyperbolic", "liouville_to_harmonic")
 
 
 def _radii(r) -> np.ndarray:
@@ -50,9 +44,9 @@ class ExactSurface:
     ``lam1``, ``w0`` and ``z0`` are None where no closed form is known,
     and a test then takes them by quadrature of phi. ``w_m`` and ``z_m``
     give w and z of every m as functions of (m, r) where a closed form
-    is known for every m. ``truth`` is the (harmonic, biharmonic) label
-    pair the theory gives the complete surface, None where phi has a
-    zero (r_max < inf) and the surface closes up.
+    is known for every m, and are None elsewhere. ``truth`` is the
+    (harmonic, biharmonic) label pair the theory gives the surface, held
+    where a test classifies the entry.
     """
 
     name: str
@@ -62,29 +56,14 @@ class ExactSurface:
     lam1: Callable | None
     w0: Callable | None
     z0: Callable | None
-    truth: tuple[str, str] | None
     r_max: float = math.inf
     w_m: Callable | None = None
     z_m: Callable | None = None
+    truth: tuple[str, str] | None = None
 
     def lam(self, m, r) -> np.ndarray:
         """Lambda_m = |m| Lambda_1 at the radii r; m may be an array broadcast against r."""
         return np.abs(m) * self.lam1(r)
-
-    def w(self, m, r) -> np.ndarray:
-        """w_m at the radii r: w_0 of every entry, w_m where a per-m form is known."""
-        return self._per_m(self.w_m, self.w0, m, r)
-
-    def z(self, m, r) -> np.ndarray:
-        """z_m at the radii r: z_0 of every entry, z_m where a per-m form is known."""
-        return self._per_m(self.z_m, self.z0, m, r)
-
-    def _per_m(self, form, form0, m, r):
-        if form is not None:
-            return form(np.abs(m), r)
-        if np.any(np.asarray(m) != 0):
-            raise DomainError(f"{self.name}: no closed form for m != 0")
-        return form0(r)
 
 
 # ----------------------------------------------------------------------
@@ -122,9 +101,8 @@ def space_form(k: float) -> ExactSurface:
             lam1=lambda r: np.log(_radii(r)),
             w0=lambda r: _radii(r) / 2.0,
             z0=lambda r: _radii(r) ** 2 / 4.0,
-            truth=_PARABOLIC_RIGID,
-            w_m=lambda m, r: _radii(r) / (2.0 + 2.0 * m),
-            z_m=lambda m, r: _radii(r) ** 2 / (4.0 + 4.0 * m),
+            w_m=lambda m, r: _radii(r) / (2.0 + 2.0 * np.abs(m)),
+            z_m=lambda m, r: _radii(r) ** 2 / (4.0 + 4.0 * np.abs(m)),
         )
     if k < 0.0:
         def log_phi(r):   # log(sinh(s r)/s) without overflow
@@ -137,7 +115,6 @@ def space_form(k: float) -> ExactSurface:
             lam1=lambda r: np.log(np.tanh(s * _radii(r) / 2.0)) - math.log(math.tanh(s / 2.0)),
             w0=lambda r: np.tanh(s * _radii(r) / 2.0) / s,
             z0=lambda r: 2.0 / (s * s) * _log_cosh(s * _radii(r) / 2.0),
-            truth=_HYPERBOLIC_LIOUVILLE,
         )
     # log cos x = log1p(-2 sin^2(x/2)) keeps z_0 exact to rounding at small r
     return ExactSurface(
@@ -147,7 +124,6 @@ def space_form(k: float) -> ExactSurface:
         lam1=lambda r: np.log(np.tan(s * _radii(r) / 2.0)) - math.log(math.tan(s / 2.0)),
         w0=lambda r: np.tan(s * _radii(r) / 2.0) / s,
         z0=lambda r: -2.0 / (s * s) * np.log1p(-2.0 * np.sin(s * _radii(r) / 4.0) ** 2),
-        truth=None,
         r_max=math.pi / s,
     )
 
@@ -182,7 +158,8 @@ def _exp_square_lam1(r):
     return (exp1(1.0) - exp1(r * r)) / 2.0
 
 
-# phi = r e^{r^2}, K = -6 - 4 r^2: hyperbolic, with z_0 unbounded
+# phi = r e^{r^2}, K = -6 - 4 r^2: hyperbolic, since Lambda_1(inf) = E_1(1)/2
+# is finite, with z_0 unbounded, growing like (log r)/2
 exp_square = ExactSurface(
     name="exp-square",
     k=lambda r: -6.0 - 4.0 * r * r,
@@ -191,8 +168,6 @@ exp_square = ExactSurface(
     lam1=_exp_square_lam1,
     w0=lambda r: -np.expm1(-_radii(r) ** 2) / (2.0 * _radii(r)),
     z0=lambda r: ein(_radii(r) ** 2) / 4.0,
-    # Lambda_1(inf) = E_1(1)/2 is finite, and z_0 grows like (log r)/2
-    truth=_HYPERBOLIC_LIOUVILLE,
 )
 
 
@@ -231,5 +206,7 @@ def milnor_threshold(kappa: float) -> ExactSurface:
     return ExactSurface(
         name=f"milnor-threshold(kappa={kappa:g})", k=k, log_phi=log_phi, dlog_phi=dlog_phi,
         lam1=None, w0=None, z0=None,
-        truth=_PARABOLIC_RIGID if kappa <= 1.0 else _HYPERBOLIC_LIOUVILLE,
+        # the label strings of asymptotics, written out so the table loads no classifier
+        truth=(("parabolic", "rigid") if kappa <= 1.0
+               else ("hyperbolic", "liouville_to_harmonic")),
     )

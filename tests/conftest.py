@@ -11,6 +11,12 @@ settings.load_profile("warped-disk")
 FAR = 1100.0  # covers the default evidence horizon with margin
 
 
+def k_only(k, r_max):
+    """A profile of K alone, without evaluators: a mode pass reads K alone."""
+    return wd.MetricProfile(phi=None, phi_prime=None, log_phi=None, dlog_phi=None,
+                            r_max=r_max, k=k)
+
+
 @pytest.fixture(scope="session")
 def euclidean():
     return wd.builtin_profile("euclidean")

@@ -13,10 +13,7 @@ from warped_disk import exact
 from warped_disk.geometry import _blended_curvature
 from warped_disk.modes import mode_pass
 
-
-def _k_only(k, r_max):
-    return wd.MetricProfile(phi=None, phi_prime=None, log_phi=None, dlog_phi=None,
-                            r_max=r_max, k=k)   # a pass reads K alone
+from conftest import k_only
 
 
 # ----------------------------------------------------------------------
@@ -110,7 +107,7 @@ def test_z0_matches_its_closed_form(request, surface, k):
 def _family(k_tail, r0):
     """A surface from a blended tail, with no declared tail, valid to r = 1200."""
     k = _blended_curvature(k_tail, r0)
-    return wd.Surface("family", _k_only(k, 1200.0), wd.CurvatureProfile(k=k))
+    return wd.Surface("family", k_only(k, 1200.0), wd.CurvatureProfile(k=k))
 
 
 def _milnor_family(kappa):
@@ -155,7 +152,7 @@ _BLENDED_TAIL = st.tuples(st.floats(0.0, 2.0), st.floats(-2.0, 2.5), st.floats(0
 def test_every_z_m_stays_below_z_0(tail):
     # phi_2m = exp(2 Lambda_m) is nondecreasing, so w_m <= w_0 and z_m <= z_0
     c, p, r0 = tail
-    metric = _k_only(_blended_curvature(lambda r: -c * r**p, r0), 50.0)
+    metric = k_only(_blended_curvature(lambda r: -c * r**p, r0), 50.0)
     radii = np.geomspace(1e-3, 50.0, 64)
     _, z = mode_pass(metric, range(0, 9), 50.0, radii=radii).lam_z(radii)
     assert np.all(z[1:] <= z[0] * (1.0 + 1e-9))
@@ -281,7 +278,7 @@ def test_milnor_threshold_labels(kappa):
     # phi = r u^kappa sits exactly on Milnor's threshold at kappa = 1, with
     # no declared tail: kappa = 0.5 may stay undetermined, the others may not
     entry = exact.milnor_threshold(kappa)
-    surface = wd.Surface(entry.name, _k_only(entry.k, 1200.0), wd.CurvatureProfile(k=entry.k))
+    surface = wd.Surface(entry.name, k_only(entry.k, 1200.0), wd.CurvatureProfile(k=entry.k))
     report = wd.classify_surface(surface, horizon=1000.0)
     labels = (report.harmonic_regime, report.biharmonic_regime)
     if kappa == 0.5:

@@ -182,7 +182,7 @@ def test_solve_known_pair_flat(euclidean):
     c = np.array([0.5, 0.0, 0.5], dtype=complex)
     d = np.array([0.5, 0.0, 0.5], dtype=complex)
     phi1 = np.exp(PLANE.lam(1, radius))
-    psi1 = PLANE.z(1, radius) * phi1
+    psi1 = PLANE.z_m(1, radius) * phi1
     alpha = np.array([c[0] * phi1 + d[0] * psi1, 0.0, c[2] * phi1 + d[2] * psi1])
     beta = np.array([d[0] * phi1, 0.0, d[2] * phi1])
     spec = spectrum_from_arrays(1, alpha, beta, real_valued=True)

@@ -289,6 +289,12 @@ def test_builtin_euclidean(euclidean):
     r = np.geomspace(1e-7, euclidean.metric.r_max, 301)
     np.testing.assert_array_equal(euclidean.metric.log_phi(r), PLANE.log_phi(r))
     np.testing.assert_array_equal(euclidean.metric.dlog_phi(r), PLANE.dlog_phi(r))
+    # the table's state rows are exactly 0 too, and phi = r e^a, phi' = e^a (1 + r b)
+    # built from them are the evaluators' values bit for bit
+    a, b = PLANE.log_phi(r) - np.log(r), PLANE.dlog_phi(r) - 1.0 / r
+    assert not np.any(a) and not np.any(b)
+    np.testing.assert_array_equal(euclidean.metric.phi(r), r * np.exp(a))
+    np.testing.assert_array_equal(euclidean.metric.phi_prime(r), np.exp(a) * (1.0 + r * b))
     phi, phi_prime = closed_phi(PLANE, r)
     assert_allclose(euclidean.metric.phi(r), phi, rtol=1e-14)
     assert_allclose(euclidean.metric.phi_prime(r), phi_prime, rtol=1e-14)

@@ -15,6 +15,8 @@ from warped_disk.geometry import RadialGrid, _blended_curvature
 from warped_disk.modes import export_mode_csv, mode_pass
 from warped_disk.operators import separated_laplacian
 
+from conftest import k_only
+
 TIGHT = dict(rtol=1e-10, atol=1e-12)
 PLANE = exact.space_form(0.0)
 HYPERBOLIC = exact.space_form(-1.0)
@@ -132,7 +134,7 @@ def test_milnor_threshold_is_within_its_bounds(kappa):
     # the table's phi, Lambda_1 in t = log s, where its integrand is smooth
     entry = exact.milnor_threshold(kappa)
     grid = RadialGrid.geometric(1e-2, 1000.0, 64)
-    mode0, mode1 = wd.biharmonic_mode(_k_only(entry.k, 1000.0), (0, 1), grid)
+    mode0, mode1 = wd.biharmonic_mode(k_only(entry.k, 1000.0), (0, 1), grid)
 
     def phi(s):
         return math.exp(float(entry.log_phi(s)))
@@ -147,11 +149,6 @@ def test_milnor_threshold_is_within_its_bounds(kappa):
         z0, _ = quad(w0, 0.0, r, epsabs=0.0, epsrel=1e-12, limit=200)
         assert abs(mode1.lam[i] - lam1) <= mode1.lam_error[i], r
         assert abs(mode0.log_psi[i] - math.log(z0)) <= mode0.quadrature_error[i], r
-
-
-def _k_only(k, r_max):
-    return wd.MetricProfile(phi=None, phi_prime=None, log_phi=None, dlog_phi=None,
-                            r_max=r_max, k=k)   # a pass reads K alone
 
 
 def _below(a, b, rel=1e-8):
@@ -176,7 +173,7 @@ def test_more_negative_curvature_orders_the_pass_rows(tail, bump):
     radii = np.geomspace(1e-3, 50.0, 64)
     rows = []
     for k in (k_a, k_b):
-        mp = mode_pass(_k_only(k, 50.0), (0, 1), 50.0, radii=radii)
+        mp = mode_pass(k_only(k, 50.0), (0, 1), 50.0, radii=radii)
         lam, z = mp.lam_z(radii)
         rows.append((*mp.profile_rows(radii), mp.inner_ratio(radii, 0), z[0], lam[1]))
     (log_phi_a, v_a, w_a, z_a, lam_a), (log_phi_b, v_b, w_b, z_b, lam_b) = rows
@@ -212,20 +209,20 @@ def test_mode_rejects_nonpositive_grid_start(euclidean):
 def test_flat_reduction_factor_m0(euclidean):
     grid = RadialGrid.geometric(0.1, 10.0, 101)
     mode = wd.biharmonic_mode(euclidean.metric, 0, grid, **TIGHT)
-    assert_allclose(mode.z, PLANE.z(0, grid.nodes), rtol=1e-6)
+    assert_allclose(mode.z, PLANE.z_m(0, grid.nodes), rtol=1e-6)
     assert np.all(mode.quadrature_error >= 0.0)
 
 
 def test_flat_reduction_factor_m1(euclidean):
     grid = RadialGrid.geometric(0.1, 10.0, 101)
     z = wd.biharmonic_mode(euclidean.metric, 1, grid, **TIGHT).z
-    assert_allclose(z, PLANE.z(1, grid.nodes), rtol=1e-6)
+    assert_allclose(z, PLANE.z_m(1, grid.nodes), rtol=1e-6)
 
 
 def test_flat_biharmonic_mode_m2(euclidean):
     grid = RadialGrid.geometric(0.1, 10.0, 101)
     mode = wd.biharmonic_mode(euclidean.metric, 2, grid, **TIGHT)
-    psi = np.exp(PLANE.lam(2, grid.nodes)) * PLANE.z(2, grid.nodes)
+    psi = np.exp(PLANE.lam(2, grid.nodes)) * PLANE.z_m(2, grid.nodes)
     assert_allclose(np.exp(mode.log_psi), psi, rtol=1e-6)
     assert_allclose(mode.log_psi, mode.lam + np.log(mode.z), rtol=0.0, atol=0.0)
 
@@ -281,8 +278,8 @@ def test_shared_pass_flat_closed_forms(euclidean):
     for m in range(9):
         lam, w, z = lams[m], mp.inner_ratio(r, m), zs[m]
         assert_allclose(lam, PLANE.lam(m, r), rtol=1e-8, atol=1e-8 * m)
-        assert_allclose(w, PLANE.w(m, r), rtol=1e-8)
-        assert_allclose(z, PLANE.z(m, r), rtol=1e-8)
+        assert_allclose(w, PLANE.w_m(m, r), rtol=1e-8)
+        assert_allclose(z, PLANE.z_m(m, r), rtol=1e-8)
         assert_array_equal(mp.inner_ratio(r, -m), w)
 
 
@@ -442,7 +439,7 @@ def test_biharmonic_mode_set_flat_closed_form(euclidean):
     grid = RadialGrid.geometric(1e-3, 1000.0, 512)
     r = grid.nodes
     for m, mode in enumerate(wd.biharmonic_mode(euclidean.metric, range(9), grid)):
-        log_psi = PLANE.lam(m, r) + np.log(PLANE.z(m, r))
+        log_psi = PLANE.lam(m, r) + np.log(PLANE.z_m(m, r))
         assert np.all(np.abs(mode.log_psi - log_psi) <= mode.quadrature_error)
 
 
@@ -625,7 +622,7 @@ def test_mode_csv_columns(tmp_path, euclidean):
     assert len(lines) == 10
     row = lines[1].split(",")
     assert_allclose(float(row[0]), 0.5)
-    assert_allclose(float(row[2]), PLANE.z(1, 0.5), rtol=1e-6)
+    assert_allclose(float(row[2]), PLANE.z_m(1, 0.5), rtol=1e-6)
 
 
 def test_mode_csv_reads_back_bit_for_bit(tmp_path, hyperbolic):
