@@ -2,9 +2,9 @@
 
 Two routes feed a classification:
 
-* declared route -- the curvature carries a tail declaration (an
-  inequality beyond some radius), and the inequality is verified on
-  samples up to the horizon, never assumed;
+* declared route -- a tail inequality on K beyond some r0, verified on
+  samples up to the horizon, never assumed: the surface's declared tail,
+  else one inferred from a fit of K, through the same check;
 * numeric route -- boundedness verdicts at a finite horizon for two
   quantities. Lambda_1 = integral_1^r ds/phi is Milnor's integral: it
   is bounded exactly when the surface is hyperbolic, and Lambda_m is
@@ -23,7 +23,9 @@ verified (declared route) or the numeric verdicts are determinate. The
 z_0 verdict stands for every m: phi_2m = exp(2 Lambda_m) is
 nondecreasing, so z_m <= z_0 on every surface, and on a hyperbolic
 surface z_m(inf) < inf exactly when z_0(inf) < inf. Regions the theory
-does not cover come out undetermined on purpose.
+does not cover come out undetermined on purpose, as does a horizon at or
+below the declared tail's r0, where both routes would read only the
+surface inside the tail.
 """
 
 from __future__ import annotations
@@ -36,13 +38,7 @@ import numpy as np
 from ._util import fmt17
 from ._util import write_csv  # noqa: F401 -- patched by benchmarks/tracing.py
 from .errors import DomainError
-from .geometry import (
-    CurvatureProfile,
-    MetricProfile,
-    Surface,
-    TailDescriptor,
-    sample_curvature,
-)
+from .geometry import MetricProfile, Surface, TailDescriptor, sample_curvature
 from .modes import DEFAULT_ATOL, DEFAULT_RTOL, mode_pass
 
 __all__ = [
@@ -104,23 +100,20 @@ class TailFit:
     window: tuple[float, float]
 
 
-def fit_tail_exponent(
-    curvature, window: tuple[float, float], n: int = 32
-) -> TailFit:
+def fit_tail_exponent(k, window: tuple[float, float], n: int = 32) -> TailFit:
     """Least-squares fit of log(-K) against the regime templates; K takes one float."""
-    k_fn = curvature.k if isinstance(curvature, CurvatureProfile) else curvature
     lo, hi = float(window[0]), float(window[1])
     if not (1.0 < lo < hi):
         raise DomainError("fit window must satisfy 1 < lo < hi")
     if n < 16:
         raise DomainError("need at least 16 samples for a tail fit")
     radii = np.geomspace(lo, hi, n)
-    k = sample_curvature(k_fn, radii)
-    if np.any(k >= 0.0):
+    k_r = sample_curvature(k, radii)
+    if np.any(k_r >= 0.0):
         return TailFit("nonnegative", None, None, math.inf, (lo, hi))
 
     log_r = np.log(radii)
-    log_mk = np.log(-k)
+    log_mk = np.log(-k_r)
     # power template: log(-K) = p log r + c
     p, c = np.polyfit(log_r, log_mk, 1)
     res_power = float(np.sqrt(np.mean((log_mk - (p * log_r + c)) ** 2)))
@@ -237,41 +230,33 @@ class ClassificationReport:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _declared_labels(curv: CurvatureProfile, horizon, evidence) -> tuple[str, str, bool, list[str]]:
-    """(harmonic, biharmonic, verified, notes) from a declared tail."""
-    notes: list[str] = []
-    tail = curv.tail
-    if tail is None or tail.kind == "custom":
-        return UNDETERMINED, UNDETERMINED, False, ["no machine-checkable tail declaration"]
-    check = curv.verify_tail(horizon)
+# the labels of each verified tail kind. ge_milnor is Milnor's parabolic
+# case and the paper's rigid one, both from K alone; le_log_threshold is
+# one-sided and settles the harmonic label only; the biharmonic labels of
+# between and le_power also need phi eventually nondecreasing
+_TAIL_LABELS = {"ge_milnor": (PARABOLIC, RIGID), "le_log_threshold": (HYPERBOLIC, UNDETERMINED),
+                "between": (HYPERBOLIC, LIOUVILLE_TO_HARMONIC),
+                "le_power": (HYPERBOLIC, ADMITS_NONHARMONIC_BOUNDED)}
+_GROWTH_GATED = {"between": "two-sided bound", "le_power": "power tail"}
+
+
+def _declared_labels(k, tail: TailDescriptor, horizon, evidence) -> tuple[str, str, bool, list[str]]:
+    """(harmonic, biharmonic, verified, notes) from a tail of K, declared or inferred."""
+    check = tail.verify(k, horizon)
     if check.n_checked == 0:
-        notes.append(f"declared tail starts at r0 = {tail.r0:.4g}, at or beyond the horizon; "
-                     "not checked")
-        return UNDETERMINED, UNDETERMINED, False, notes
+        return UNDETERMINED, UNDETERMINED, False, [
+            f"declared tail starts at r0 = {tail.r0:.4g}, at or beyond the horizon; not checked"]
     if not check.ok:
         where = "" if check.first_violation is None else f" near r = {check.first_violation:.4g}"
-        notes.append(f"declared tail failed sample verification{where}")
-        return UNDETERMINED, UNDETERMINED, False, notes
-
-    if tail.kind == "ge_milnor":
-        # Milnor's parabolic case, and the paper's rigid one: both read K alone
-        return PARABOLIC, RIGID, True, notes
+        return UNDETERMINED, UNDETERMINED, False, [f"declared tail failed sample verification{where}"]
+    harmonic, biharmonic = _TAIL_LABELS[tail.kind]
     if tail.kind == "le_log_threshold":
-        # one-sided: harmonic regime settled, biharmonic branch needs the
-        # lower quadratic bound too
-        notes.append("upper tail bound only; biharmonic branch needs -eta r^2 <= K as well")
-        return HYPERBOLIC, UNDETERMINED, True, notes
-    if tail.kind == "between":
-        if evidence.phi_nondecreasing:
-            return HYPERBOLIC, LIOUVILLE_TO_HARMONIC, True, notes
-        notes.append("two-sided bound verified but phi is not eventually nondecreasing")
-        return HYPERBOLIC, UNDETERMINED, True, notes
-    if tail.kind == "le_power":
-        if evidence.phi_nondecreasing:
-            return HYPERBOLIC, ADMITS_NONHARMONIC_BOUNDED, True, notes
-        notes.append("power tail verified but phi is not eventually nondecreasing")
-        return HYPERBOLIC, UNDETERMINED, True, notes
-    return UNDETERMINED, UNDETERMINED, False, notes
+        return harmonic, biharmonic, True, [
+            "upper tail bound only; biharmonic branch needs -eta r^2 <= K as well"]
+    if tail.kind in _GROWTH_GATED and not evidence.phi_nondecreasing:
+        return harmonic, UNDETERMINED, True, [
+            f"{_GROWTH_GATED[tail.kind]} verified but phi is not eventually nondecreasing"]
+    return harmonic, biharmonic, True, []
 
 
 def _numeric_labels(evidence: EvidenceBundle) -> tuple[str, str, list[str]]:
@@ -302,7 +287,7 @@ def _numeric_labels(evidence: EvidenceBundle) -> tuple[str, str, list[str]]:
     return PARABOLIC, UNDETERMINED, notes
 
 
-def _fit_descriptor(fit: TailFit, curv_fn) -> TailDescriptor | None:
+def _fit_descriptor(fit: TailFit, k) -> TailDescriptor | None:
     """Turn a clean template fit into an inequality to verify on samples."""
     lo = fit.window[0]
     if fit.kind == "log_threshold":
@@ -316,12 +301,17 @@ def _fit_descriptor(fit: TailFit, curv_fn) -> TailDescriptor | None:
             return TailDescriptor("le_power", r0=lo, eps=fit.exponent - 2.0)
         # flat-to-quadratic growth: try the two-sided band with eta from samples
         radii = np.geomspace(lo, fit.window[1], 32)
-        k = sample_curvature(curv_fn, radii)
-        eta = float(np.max(-k / radii**2)) * 1.05
+        eta = float(np.max(-sample_curvature(k, radii) / radii**2)) * 1.05
         if eta <= 0.0:
             return None
         return TailDescriptor("between", r0=lo, eps=1.0, eta=eta)
     return None
+
+
+# the sources each per-label route read; the overall route is the one
+# that read their union, unless either label's routes conflicted
+_ROUTE_SOURCES = {"none": frozenset(), "declared_tail": frozenset({"declared"}),
+                  "numeric": frozenset({"numeric"}), "both": frozenset({"declared", "numeric"})}
 
 
 def classify_surface(
@@ -333,48 +323,45 @@ def classify_surface(
     """Full two-route classification of a surface.
 
     Labels are only combined when the routes agree; a disagreement
-    downgrades to undetermined and is recorded in the notes.
+    downgrades to undetermined and is recorded in the notes. A horizon
+    at or below the declared tail's r0 labels from neither route.
     """
     if not isinstance(surface, Surface):
         raise DomainError(f"cannot classify a {type(surface).__name__}")
-    metric, curv = surface.metric, surface.curvature
-    horizon = metric.require_radius(horizon)
-    evidence = numeric_evidence(metric, horizon=horizon, rtol=rtol, atol=atol)
+    evidence = numeric_evidence(surface.metric, horizon=horizon, rtol=rtol, atol=atol)
+    horizon = evidence.horizon
+    k, declared = surface.curvature.k, surface.curvature.tail
+    below_tail = declared is not None and horizon <= declared.r0
     notes: list[str] = []
 
-    declared = curv.tail
+    h_dec = b_dec = UNDETERMINED
     declared_verified = False
-    if declared is not None and declared.kind != "custom":
-        h_dec, b_dec, declared_verified, dn = _declared_labels(curv, horizon, evidence)
+    if declared is not None:
+        h_dec, b_dec, declared_verified, dn = _declared_labels(k, declared, horizon, evidence)
         notes.extend(dn)
-    else:
-        h_dec = b_dec = UNDETERMINED
 
-    tail_fit = None
-    if not declared_verified:
-        # no declaration to lean on: fit a template and verify the implied
-        # inequality on samples before using it
-        k_fn = curv.k
-        window = (max(horizon / 30.0, 2.0), horizon)
-        try:
-            tail_fit = fit_tail_exponent(k_fn, window)
-        except DomainError:
-            tail_fit = None
-        if tail_fit is not None and tail_fit.kind in ("power", "log_threshold"):
-            inferred = _fit_descriptor(tail_fit, k_fn)
-            if inferred is not None:
-                probe = CurvatureProfile(k=k_fn, tail=inferred, name="fit")
-                h_fit, b_fit, ok, fn = _declared_labels(probe, horizon, evidence)
-                if ok:
-                    h_dec, b_dec = h_fit, b_fit
-                    notes.append(
-                        f"tail inferred by fit ({tail_fit.kind}, residual {tail_fit.residual:.3g}) "
-                        "and verified on samples"
-                    )
-                notes.extend(fn)
+    # when it does not verify, fit a template near the horizon (from r = 2
+    # on) and check the inequality the fit implies through the same path
+    tail_fit = inferred = None
+    window = (max(horizon / 30.0, 2.0), horizon)
+    if not (declared_verified or below_tail) and window[0] < window[1]:
+        tail_fit = fit_tail_exponent(k, window)
+        inferred = _fit_descriptor(tail_fit, k)
+    if inferred is not None:
+        h_fit, b_fit, ok, fn = _declared_labels(k, inferred, horizon, evidence)
+        if ok:
+            h_dec, b_dec = h_fit, b_fit
+            notes.append(f"tail inferred by fit ({tail_fit.kind}, residual "
+                         f"{tail_fit.residual:.3g}) and verified on samples")
+        notes.extend(fn)
 
     h_num, b_num, nn = _numeric_labels(evidence)
     notes.extend(nn)
+    if below_tail and (h_num, b_num) != (UNDETERMINED, UNDETERMINED):
+        h_num = b_num = UNDETERMINED
+        notes.append(f"horizon {horizon:.4g} is at or below the declared tail's r0 = "
+                     f"{declared.r0:.4g}: the ladder sees only the surface inside it; "
+                     "numeric route not used")
 
     def combine(dec: str, num: str, what: str) -> tuple[str, str]:
         if dec != UNDETERMINED and num != UNDETERMINED:
@@ -393,16 +380,8 @@ def classify_surface(
     if "conflict" in (route_h, route_b):
         route = "conflict"
     else:
-        declared_used = any(r in ("both", "declared_tail") for r in (route_h, route_b))
-        numeric_used = any(r in ("both", "numeric") for r in (route_h, route_b))
-        if declared_used and numeric_used:
-            route = "both"
-        elif declared_used:
-            route = "declared_tail"
-        elif numeric_used:
-            route = "numeric"
-        else:
-            route = "none"
+        used = _ROUTE_SOURCES[route_h] | _ROUTE_SOURCES[route_b]
+        route = next(r for r, sources in _ROUTE_SOURCES.items() if sources == used)
 
     return ClassificationReport(
         harmonic_regime=harmonic,
@@ -432,8 +411,10 @@ def export_report(report: ClassificationReport, txt_path) -> None:
     and ``le_power`` tails' biharmonic label (a verified ``ge_milnor``
     tail labels from K alone); ``declared_tail`` and ``declared_verified``,
     whether the declared route may label; ``tail_fit_*``, the fit whose
-    inferred inequality labels instead when no declaration verified; and
-    each ``note``, why a label was withheld.
+    inferred inequality, checked the same way, labels instead when the
+    declared tail did not verify (no fit and no numeric label when the
+    horizon is at or below the declared r0); and each ``note``, why a
+    label was withheld.
     """
     lines = [
         f"harmonic_regime = {report.harmonic_regime}",

@@ -88,7 +88,7 @@ class RadialGrid:
 # curvature descriptions
 # ----------------------------------------------------------------------
 
-TAIL_KINDS = ("ge_milnor", "le_log_threshold", "between", "le_power", "custom")
+TAIL_KINDS = ("ge_milnor", "le_log_threshold", "between", "le_power")
 
 # Relative slack for tail inequalities: built-in tails sit exactly on
 # their bound, so strict comparison would fail on rounding.
@@ -102,14 +102,15 @@ def _milnor_bound(r: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TailDescriptor:
-    """Declared asymptotic class of a curvature function beyond radius r0.
+    """An inequality on the curvature K beyond radius r0 > 1, of one of four kinds:
 
-    kind:
       ge_milnor        K >= -1/(r^2 log r)
       le_log_threshold K <= -(1+eps)/(r^2 log r)
       between          -eta r^2 <= K <= -(1+eps)/(r^2 log r)
       le_power         K <= -r^(2+eps)
-      custom           no machine-checkable inequality
+
+    A built-in declares its tail; ``asymptotics`` infers one from a fit.
+    Either labels only once ``verify`` has checked it on samples.
     """
 
     kind: str
@@ -126,7 +127,7 @@ class TailDescriptor:
             raise DomainError(f"tail kind {self.kind!r} needs eps > 0")
         if self.kind == "between" and (self.eta is None or self.eta <= 0.0):
             raise DomainError("tail kind 'between' needs eta > 0")
-        if self.kind != "custom" and self.r0 <= 1.0:
+        if self.r0 <= 1.0:
             raise DomainError("tail declarations only make sense for r0 > 1")
 
     def holds_at(self, r: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -142,9 +143,20 @@ class TailDescriptor:
             lower = -self.eta * r * r
             upper = (1.0 + self.eps) * _milnor_bound(r)
             return (k >= lower - slack) & (k <= upper + slack)
-        if self.kind == "le_power":
-            return k <= -(r ** (2.0 + self.eps)) + slack
-        return np.ones_like(k, dtype=bool)  # custom: nothing to check
+        return k <= -(r ** (2.0 + self.eps)) + slack    # le_power
+
+    def verify(self, k: Callable, r_upper: float, n: int = 200) -> TailCheck:
+        """Sample the inequality on K at n radii of (r0, r_upper]; none when r_upper <= r0."""
+        if r_upper <= self.r0:
+            return TailCheck(ok=False, n_checked=0)
+        radii = np.geomspace(self.r0 * (1.0 + 1e-9), r_upper, n)
+        vals = sample_curvature(k, radii)
+        if not np.all(np.isfinite(vals)):
+            return TailCheck(ok=False, n_checked=n, first_violation=float(radii[~np.isfinite(vals)][0]))
+        good = self.holds_at(radii, vals)
+        if np.all(good):
+            return TailCheck(ok=True, n_checked=n)
+        return TailCheck(ok=False, n_checked=n, first_violation=float(radii[~good][0]))
 
 
 @dataclass(frozen=True)
@@ -159,8 +171,11 @@ def sample_curvature(k: Callable, radii) -> np.ndarray:
 
     K is called at Python floats with numpy's floating-point warnings
     off, and a float OverflowError reads as inf: an overflowing K gives
-    a non-finite sample, never a RuntimeWarning.
+    a non-finite sample, never a RuntimeWarning; a non-callable K is a DomainError.
     """
+    if not callable(k):
+        raise DomainError("curvature must be a callable K(r) of one float")
+
     def at(r):
         try:
             return k(r)
@@ -173,34 +188,15 @@ def sample_curvature(k: Callable, radii) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CurvatureProfile:
-    """A Gaussian curvature function K(r) with an optional declared tail.
+    """A record of K and its declared tail, if any.
 
     ``k`` is K of one float, as ``MetricProfile.k`` is (a built-in's is
     the same function); array callers map it with ``sample_curvature``.
+    ``tail.verify(k, r)`` checks the tail on samples.
     """
 
     k: Callable
     tail: TailDescriptor | None = None
-    name: str = ""
-
-    def __call__(self, r):
-        return self.k(r)
-
-    def verify_tail(self, r_upper: float, n: int = 200) -> TailCheck:
-        """Sample the declared inequality on (r0, r_upper]; never assume it."""
-        if self.tail is None or self.tail.kind == "custom":
-            return TailCheck(ok=False, n_checked=0)
-        lo = self.tail.r0 * (1.0 + 1e-9)
-        if r_upper <= lo:
-            return TailCheck(ok=False, n_checked=0)
-        radii = np.geomspace(lo, r_upper, n)
-        vals = sample_curvature(self.k, radii)
-        if not np.all(np.isfinite(vals)):
-            return TailCheck(ok=False, n_checked=n, first_violation=float(radii[~np.isfinite(vals)][0]))
-        good = self.tail.holds_at(radii, vals)
-        if np.all(good):
-            return TailCheck(ok=True, n_checked=n)
-        return TailCheck(ok=False, n_checked=n, first_violation=float(radii[~good][0]))
 
 
 # ----------------------------------------------------------------------
@@ -259,14 +255,6 @@ class Surface:
 # ----------------------------------------------------------------------
 # curvature -> profile integration (a dense mode pass)
 # ----------------------------------------------------------------------
-
-def _as_curvature_callable(curvature) -> Callable:
-    if isinstance(curvature, CurvatureProfile):
-        return curvature.k
-    if callable(curvature):
-        return curvature
-    raise DomainError("curvature must be a CurvatureProfile or a callable K(r)")
-
 
 def _check_curvature_ivp(k_fn: Callable, r_max: float,
                          step_control: tuple[float, float]) -> tuple[float, float]:
@@ -345,23 +333,21 @@ def _pass_profile(k: Callable, r_max: float, rtol: float, atol: float,
 
 
 def profile_from_curvature(
-    curvature,
+    k: Callable,
     r_max: float,
     step_control: tuple[float, float] = (DEFAULT_RTOL, DEFAULT_ATOL),
     name: str = "",
 ) -> MetricProfile:
-    """Integrate phi'' = -K phi with phi(0) = 0, phi'(0) = 1.
+    """Integrate phi'' = -K phi with phi(0) = 0, phi'(0) = 1; K takes one float.
 
     One dense mode pass of m = 0 at ``step_control``, solved here and
     read by the evaluators (``_pass_profile``). Raises ConjugatePointError
     when phi collapses to zero at some positive radius, and a
     QuadratureError (an IntegrationError) when the solver gives up.
     """
-    k_fn = _as_curvature_callable(curvature)
-    rtol, atol = _check_curvature_ivp(k_fn, r_max, step_control)
-    profile, solution = _pass_profile(
-        lambda r: float(k_fn(r)), r_max, rtol, atol,
-        name or getattr(curvature, "name", "") or "curvature-integrated")
+    rtol, atol = _check_curvature_ivp(k, r_max, step_control)
+    profile, solution = _pass_profile(lambda r: float(k(r)), r_max, rtol, atol,
+                                      name or "curvature-integrated")
     solution()
     return profile
 
@@ -483,7 +469,7 @@ def builtin_profile(
         k = _blended_curvature(tail, r0)
     rtol, atol = _check_curvature_ivp(k, r_max, step_control)
     metric, _ = _pass_profile(k, r_max, rtol, atol, label)
-    return Surface(label, metric, CurvatureProfile(k=k, tail=declared, name=label))
+    return Surface(label, metric, CurvatureProfile(k=k, tail=declared))
 
 
 # ----------------------------------------------------------------------
@@ -491,11 +477,13 @@ def builtin_profile(
 # ----------------------------------------------------------------------
 
 _PROFILE_KEYS = {("profile", "name"): str,
-                 **{("profile", key): float for key in ("eps", "eta", "r0", "r_max", "rtol", "atol")}}
+                 **{("profile", key): float for key in ("eps", "eta", "r0", "r_max")}}
 
 
 def read_profile_file(path) -> Surface:
-    """Build a surface from a key-value profile definition file."""
+    """A built-in surface from a key-value file: one ``[profile]`` section of
+    ``name`` (required), ``eps``, ``eta``, ``r0`` and ``r_max``; any other key is a DomainError.
+    """
     values = {key: value for _, key, value in read_key_values(path, _PROFILE_KEYS, "profile")}
     if "name" not in values:
         raise DomainError(f"{path}: a profile definition file needs a [profile] name")
@@ -505,5 +493,4 @@ def read_profile_file(path) -> Surface:
         eta=values.get("eta"),
         r0=values.get("r0"),
         r_max=values.get("r_max", DEFAULT_R_MAX),
-        step_control=(values.get("rtol", DEFAULT_RTOL), values.get("atol", DEFAULT_ATOL)),
     )

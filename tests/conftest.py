@@ -55,10 +55,6 @@ def interior_threshold():
         q = np.asarray(r, dtype=float) ** 2 + np.e
         return -1.0 / (q * np.log(q))
 
-    curv = wd.CurvatureProfile(
-        k=k,
-        tail=wd.TailDescriptor("ge_milnor", r0=2.0),
-        name="interior-threshold",
-    )
-    metric = wd.profile_from_curvature(curv, r_max=FAR, name=curv.name)
-    return wd.Surface(curv.name, metric, curv)
+    curv = wd.CurvatureProfile(k=k, tail=wd.TailDescriptor("ge_milnor", r0=2.0))
+    metric = wd.profile_from_curvature(curv.k, r_max=FAR, name="interior-threshold")
+    return wd.Surface("interior-threshold", metric, curv)

@@ -307,6 +307,30 @@ def test_definite_labels_are_monotone_along_both_threshold_axes():
     assert _keeps(biharmonic, wd.ADMITS_NONHARMONIC_BOUNDED), biharmonic
 
 
+@pytest.mark.parametrize("build, horizon, route, harmonic_by_both", [
+    pytest.param(partial(_milnor_family, 0.5), 1000.0, "declared_tail", None, id="kappa=0.5"),
+    pytest.param(partial(_milnor_family, 0.8), 1000.0, "conflict", None, id="kappa=0.8"),
+    pytest.param(partial(_quadratic_log_family, 3.0), 1000.0, "numeric", None, id="p=3"),
+    pytest.param(partial(_quadratic_log_family, 0.4), 1000.0, "conflict", wd.HYPERBOLIC,
+                 id="p=0.4"),
+    pytest.param(partial(wd.builtin_profile, "power-curvature", eps=1.0), 1000.0, "both", None,
+                 id="power"),
+    pytest.param(partial(wd.builtin_profile, "hyperbolic"), 0.5, "none", None, id="hyperbolic"),
+])
+def test_every_overall_route(build, horizon, route, harmonic_by_both):
+    # every overall route, from the per-label routes of the threshold
+    # families and two built-ins; at p = 0.4 the routes conflict on the
+    # biharmonic label only, and both give the harmonic one
+    report = wd.classify_surface(build(), horizon=horizon)
+    assert report.route == route
+    if harmonic_by_both is not None:
+        assert report.harmonic_regime == harmonic_by_both
+        assert any(note.startswith("tail inferred by fit") for note in report.notes)
+        assert "phi_m ladder is undetermined" not in report.notes
+        assert [note.split(":")[0] for note in report.notes if "route says" in note] == [
+            "biharmonic"]
+
+
 def test_classify_rejects_other_types(euclidean):
     # a Surface carries the curvature the tail checks need; its parts alone are refused
     for subject in (42, euclidean.metric, euclidean.curvature):
@@ -327,20 +351,11 @@ def _fake_evidence(nondecreasing=True):
     )
 
 
-def test_declared_custom_tail_is_undetermined():
-    curv = wd.CurvatureProfile(
-        k=lambda r: -np.ones_like(np.asarray(r, dtype=float)),
-        tail=wd.TailDescriptor("custom", r0=2.0),
-    )
-    h, b, ok, _ = asy._declared_labels(curv, 100.0, _fake_evidence())
-    assert (h, b) == (wd.UNDETERMINED, wd.UNDETERMINED)
-    assert not ok
-
-
 def test_verified_milnor_tail_labels_from_the_curvature_alone(euclidean):
     # K >= -1/(r^2 log r) is Milnor's parabolic case and the paper's rigid
     # one; the evidence, here that of a hyperbolic surface, plays no part
-    h, b, ok, notes = asy._declared_labels(euclidean.curvature, 100.0, _fake_evidence())
+    curv = euclidean.curvature
+    h, b, ok, notes = asy._declared_labels(curv.k, curv.tail, 100.0, _fake_evidence())
     assert ok
     assert (h, b) == (wd.PARABOLIC, wd.RIGID)
     assert notes == []
@@ -356,11 +371,10 @@ def test_tail_at_or_beyond_the_horizon_is_reported_unchecked(request, surface, h
 
 
 def test_one_sided_upper_bound_leaves_biharmonic_open():
-    curv = wd.CurvatureProfile(
-        k=lambda r: -np.ones_like(np.asarray(r, dtype=float)),
-        tail=wd.TailDescriptor("le_log_threshold", r0=2.0, eps=1.0),
-    )
-    h, b, ok, _ = asy._declared_labels(curv, 100.0, _fake_evidence())
+    h, b, ok, _ = asy._declared_labels(
+        lambda r: -np.ones_like(np.asarray(r, dtype=float)),
+        wd.TailDescriptor("le_log_threshold", r0=2.0, eps=1.0),
+        100.0, _fake_evidence())
     assert ok
     assert h == wd.HYPERBOLIC
     assert b == wd.UNDETERMINED

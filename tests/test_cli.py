@@ -399,6 +399,9 @@ def test_malformed_config_file_is_a_configuration_error(tmp_path, capsys, text):
 @pytest.mark.parametrize("text", [
     pytest.param("[profile]\nname = euclidean\nname = hyperbolic\n", id="repeated_key"),
     pytest.param("[profile]\nname = power-curvature\neps = abc\n", id="value_not_a_number"),
+    # no command reads the tolerances of a built-in's own profile pass
+    pytest.param("[profile]\nname = power-curvature\neps = 1\nrtol = 1e-3\n", id="rtol"),
+    pytest.param("[profile]\nname = power-curvature\neps = 1\natol = 1e-4\n", id="atol"),
 ])
 def test_malformed_profile_file_is_a_configuration_error(tmp_path, capsys, text):
     path = tmp_path / "surface.profile"
@@ -492,6 +495,22 @@ def test_every_builtin_honours_rmax(tmp_path, capsys, profile):
     assert cli.main(argv) == cli.EXIT_USAGE
     assert "outside the profile domain (0, 2]" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--profile", "power-curvature", "--eps", "1", "--r0", "40", "--horizon", "30"],
+                 id="power_r0_40_h30"),
+    pytest.param(["--profile", "log-threshold", "--eps", "0.5", "--r0", "30", "--horizon", "25"],
+                 id="log_threshold_r0_30_h25"),
+])
+def test_classify_below_the_declared_tail_labels_nothing(tmp_path, argv):
+    # up to the horizon both surfaces are their constant cap, K = -41^3 and
+    # K = -1.5/(31^2 log 31), so no route may read the tail that sets the truth
+    assert cli.main(["classify", *argv, "--out", str(tmp_path)]) == cli.EXIT_UNDETERMINED
+    lines = (tmp_path / "classification.txt").read_text().splitlines()
+    assert "harmonic_regime = undetermined" in lines
+    assert "biharmonic_regime = undetermined" in lines
+    assert "route = none" in lines
 
 
 def test_tolerances_beside_a_profile_file_are_accepted(tmp_path):

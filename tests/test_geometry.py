@@ -411,7 +411,7 @@ def test_origin_smoothness_integrated_profiles(power1, quadratic1, log_threshold
 # ----------------------------------------------------------------------
 
 def test_round_trip_reproduces_builtin(hyperbolic):
-    prof = wd.profile_from_curvature(hyperbolic.curvature, r_max=8.0)
+    prof = wd.profile_from_curvature(hyperbolic.curvature.k, r_max=8.0)
     r = np.linspace(0.25, 7.5, 30)
     assert_allclose(prof.phi(r), closed_phi(HYPERBOLIC, r)[0], rtol=1e-8)
 
@@ -425,7 +425,8 @@ def test_origin_normalization(all_builtins):
 
 def test_declared_tails_hold(all_builtins):
     for surface in all_builtins:
-        check = surface.curvature.verify_tail(min(surface.metric.r_max, 1000.0))
+        curv = surface.curvature
+        check = curv.tail.verify(curv.k, min(surface.metric.r_max, 1000.0))
         assert check.ok, surface.name
 
 
@@ -438,14 +439,13 @@ def test_tail_descriptor_validation():
         wd.TailDescriptor("ge_milnor", r0=0.5)  # needs r0 > 1
     with pytest.raises(wd.DomainError):
         wd.TailDescriptor("sideways", r0=2.0)
+    with pytest.raises(wd.DomainError):
+        wd.TailDescriptor("custom", r0=2.0)  # every kind is an inequality to check
 
 
 def test_verify_tail_detects_violation():
-    curv = wd.CurvatureProfile(
-        k=lambda r: -np.asarray(r, dtype=float) ** 2,
-        tail=wd.TailDescriptor("ge_milnor", r0=2.0),
-    )
-    check = curv.verify_tail(100.0)
+    tail = wd.TailDescriptor("ge_milnor", r0=2.0)
+    check = tail.verify(lambda r: -np.asarray(r, dtype=float) ** 2, 100.0)
     assert not check.ok
     assert check.first_violation is not None
 

@@ -79,6 +79,10 @@ RUNS = {
     "classify_hyperbolic_h05": ["classify", *HYPERBOLIC, "--horizon", "0.5"],
     # the plane's verified Milnor tail labels it there from K alone
     "classify_euclidean_h5": ["classify", *EUCLIDEAN, "--horizon", "5"],
+    # horizons at or below the declared tail's r0 read only the constant cap
+    "classify_power_r0_40_h30": ["classify", *POWER, "--r0", "40", "--horizon", "30"],
+    "classify_log_threshold_r0_30_h25": ["classify", "--profile", "log-threshold", "--eps", "0.5",
+                                         "--r0", "30", "--horizon", "25"],
     "modes_euclidean": ["modes", *EUCLIDEAN],
     "modes_power": ["modes", *POWER, "--horizon", "100", "--mmax", "2"],
     "modes_hyperbolic": ["modes", *HYPERBOLIC],
