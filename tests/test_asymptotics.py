@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 import warped_disk as wd
 from warped_disk import asymptotics as asy
 from warped_disk import exact
-from warped_disk.geometry import _blended_curvature
+from warped_disk.geometry import TAIL_KINDS, _blended_curvature
 from warped_disk.modes import mode_pass
 
 from conftest import k_only
@@ -349,6 +349,14 @@ def _fake_evidence(nondecreasing=True):
         z_verdict="unbounded",
         phi_nondecreasing=nondecreasing,
     )
+
+
+def test_declared_custom_tail_is_undetermined():
+    # a tail with no inequality to check cannot be declared, so no label
+    # comes from one; every kind that can be declared has labels
+    with pytest.raises(wd.DomainError):
+        wd.TailDescriptor("custom", r0=2.0)
+    assert set(asy._TAIL_LABELS) == set(TAIL_KINDS)
 
 
 def test_verified_milnor_tail_labels_from_the_curvature_alone(euclidean):
