@@ -32,7 +32,6 @@ _NAMES = {
         "UNDETERMINED",
         "ClassificationReport",
         "classify_surface",
-        "fit_tail_exponent",
         "numeric_evidence",
     ),
     "bvp": (

@@ -4,7 +4,8 @@ Two routes feed a classification:
 
 * declared route -- a tail inequality on K beyond some r0, verified on
   samples up to the horizon, never assumed: the surface's declared tail,
-  else one inferred from a fit of K, through the same check;
+  else Milnor's two inequalities, K >= -1/(r^2 log r) (parabolic) and
+  K <= -(1+eps)/(r^2 log r) (hyperbolic), through the same check;
 * numeric route -- boundedness verdicts at a finite horizon for two
   quantities. Lambda_1 = integral_1^r ds/phi is Milnor's integral: it
   is bounded exactly when the surface is hyperbolic, and Lambda_m is
@@ -38,7 +39,7 @@ import numpy as np
 from ._util import fmt17
 from ._util import write_csv  # noqa: F401 -- patched by benchmarks/tracing.py
 from .errors import DomainError
-from .geometry import MetricProfile, Surface, TailDescriptor, sample_curvature
+from .geometry import MetricProfile, Surface, TailDescriptor
 from .modes import DEFAULT_ATOL, DEFAULT_RTOL, mode_pass
 
 __all__ = [
@@ -48,10 +49,8 @@ __all__ = [
     "LIOUVILLE_TO_HARMONIC",
     "ADMITS_NONHARMONIC_BOUNDED",
     "UNDETERMINED",
-    "TailFit",
     "EvidenceBundle",
     "ClassificationReport",
-    "fit_tail_exponent",
     "numeric_evidence",
     "classify_surface",
     "export_report",
@@ -77,56 +76,9 @@ DEFAULT_HORIZON = 1000.0
 PLATEAU_FRAC = 1e-6
 RATIO_BOUNDED = 0.92
 RATIO_UNBOUNDED = 0.97
-FIT_RESIDUAL_MAX = 0.05
-
-
-# ----------------------------------------------------------------------
-# tail fitting
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TailFit:
-    """Best-matching curvature tail template over a sampling window.
-
-    kind is "power" (-K ~ C r^p), "log_threshold" (-K ~ kappa/(r^2 log r)),
-    "nonnegative" (K >= 0 somewhere, not classifiable by tail), or
-    "undetermined" (no template fits within the residual threshold).
-    """
-
-    kind: str
-    exponent: float | None      # p for power fits
-    kappa: float | None         # 1 + eps for log-threshold fits
-    residual: float
-    window: tuple[float, float]
-
-
-def fit_tail_exponent(k, window: tuple[float, float], n: int = 32) -> TailFit:
-    """Least-squares fit of log(-K) against the regime templates; K takes one float."""
-    lo, hi = float(window[0]), float(window[1])
-    if not (1.0 < lo < hi):
-        raise DomainError("fit window must satisfy 1 < lo < hi")
-    if n < 16:
-        raise DomainError("need at least 16 samples for a tail fit")
-    radii = np.geomspace(lo, hi, n)
-    k_r = sample_curvature(k, radii)
-    if np.any(k_r >= 0.0):
-        return TailFit("nonnegative", None, None, math.inf, (lo, hi))
-
-    log_r = np.log(radii)
-    log_mk = np.log(-k_r)
-    # power template: log(-K) = p log r + c
-    p, c = np.polyfit(log_r, log_mk, 1)
-    res_power = float(np.sqrt(np.mean((log_mk - (p * log_r + c)) ** 2)))
-    # log-threshold template: log(-K) = log kappa - 2 log r - log log r
-    shifted = log_mk + 2.0 * log_r + np.log(log_r)
-    log_kappa = float(np.mean(shifted))
-    res_log = float(np.sqrt(np.mean((shifted - log_kappa) ** 2)))
-
-    if res_log <= res_power and res_log <= FIT_RESIDUAL_MAX:
-        return TailFit("log_threshold", None, math.exp(log_kappa), res_log, (lo, hi))
-    if res_power <= FIT_RESIDUAL_MAX:
-        return TailFit("power", float(p), None, res_power, (lo, hi))
-    return TailFit("undetermined", None, None, min(res_power, res_log), (lo, hi))
+# the eps of Milnor's hyperbolic inequality, checked when no declared
+# tail verifies: K <= -(1 + MILNOR_EPS)/(r^2 log r)
+MILNOR_EPS = 0.01
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +176,6 @@ class ClassificationReport:
     route: str                  # "declared_tail" | "numeric" | "both" | "none"
     horizon: float
     evidence: EvidenceBundle
-    tail_fit: TailFit | None
     declared: TailDescriptor | None
     declared_verified: bool
     notes: tuple[str, ...] = field(default_factory=tuple)
@@ -241,7 +192,7 @@ _GROWTH_GATED = {"between": "two-sided bound", "le_power": "power tail"}
 
 
 def _declared_labels(k, tail: TailDescriptor, horizon, evidence) -> tuple[str, str, bool, list[str]]:
-    """(harmonic, biharmonic, verified, notes) from a tail of K, declared or inferred."""
+    """(harmonic, biharmonic, verified, notes) from a tail of K, declared or Milnor's."""
     check = tail.verify(k, horizon)
     if check.n_checked == 0:
         return UNDETERMINED, UNDETERMINED, False, [
@@ -287,27 +238,6 @@ def _numeric_labels(evidence: EvidenceBundle) -> tuple[str, str, list[str]]:
     return PARABOLIC, UNDETERMINED, notes
 
 
-def _fit_descriptor(fit: TailFit, k) -> TailDescriptor | None:
-    """Turn a clean template fit into an inequality to verify on samples."""
-    lo = fit.window[0]
-    if fit.kind == "log_threshold":
-        if fit.kappa >= 1.05:
-            return TailDescriptor("le_log_threshold", r0=lo, eps=fit.kappa - 1.0)
-        if fit.kappa <= 0.95:
-            return TailDescriptor("ge_milnor", r0=lo)
-        return None  # the gap at kappa ~ 1 stays undetermined
-    if fit.kind == "power":
-        if fit.exponent >= 2.05:
-            return TailDescriptor("le_power", r0=lo, eps=fit.exponent - 2.0)
-        # flat-to-quadratic growth: try the two-sided band with eta from samples
-        radii = np.geomspace(lo, fit.window[1], 32)
-        eta = float(np.max(-sample_curvature(k, radii) / radii**2)) * 1.05
-        if eta <= 0.0:
-            return None
-        return TailDescriptor("between", r0=lo, eps=1.0, eta=eta)
-    return None
-
-
 # the sources each per-label route read; the overall route is the one
 # that read their union, unless either label's routes conflicted
 _ROUTE_SOURCES = {"none": frozenset(), "declared_tail": frozenset({"declared"}),
@@ -322,9 +252,12 @@ def classify_surface(
 ) -> ClassificationReport:
     """Full two-route classification of a surface.
 
-    Labels are only combined when the routes agree; a disagreement
-    downgrades to undetermined and is recorded in the notes. A horizon
-    at or below the declared tail's r0 labels from neither route.
+    The declared route reads the declared tail, else the first of
+    Milnor's two inequalities that holds on samples of [max(horizon/30, 2),
+    horizon]. Labels are only combined when the routes agree; a
+    disagreement downgrades to undetermined and is recorded in the
+    notes. A horizon at or below the declared tail's r0 labels from
+    neither route.
     """
     if not isinstance(surface, Surface):
         raise DomainError(f"cannot classify a {type(surface).__name__}")
@@ -340,20 +273,20 @@ def classify_surface(
         h_dec, b_dec, declared_verified, dn = _declared_labels(k, declared, horizon, evidence)
         notes.extend(dn)
 
-    # when it does not verify, fit a template near the horizon (from r = 2
-    # on) and check the inequality the fit implies through the same path
-    tail_fit = inferred = None
-    window = (max(horizon / 30.0, 2.0), horizon)
-    if not (declared_verified or below_tail) and window[0] < window[1]:
-        tail_fit = fit_tail_exponent(k, window)
-        inferred = _fit_descriptor(tail_fit, k)
-    if inferred is not None:
-        h_fit, b_fit, ok, fn = _declared_labels(k, inferred, horizon, evidence)
-        if ok:
-            h_dec, b_dec = h_fit, b_fit
-            notes.append(f"tail inferred by fit ({tail_fit.kind}, residual "
-                         f"{tail_fit.residual:.3g}) and verified on samples")
-        notes.extend(fn)
+    # when it does not verify, check Milnor's two inequalities near the
+    # horizon (from r = 2 on) through the same path, parabolic first
+    lo = max(horizon / 30.0, 2.0)
+    if not (declared_verified or below_tail) and lo < horizon:
+        for milnor in (TailDescriptor("ge_milnor", r0=lo),
+                       TailDescriptor("le_log_threshold", r0=lo, eps=MILNOR_EPS)):
+            h_mil, b_mil, ok, mn = _declared_labels(k, milnor, horizon, evidence)
+            if ok:
+                h_dec, b_dec = h_mil, b_mil
+                notes.append(f"Milnor's {milnor.kind} tail from r0 = {lo:.4g} verified on samples")
+                notes.extend(mn)
+                break
+        else:
+            notes.append(f"neither of Milnor's tails holds on [{lo:.4g}, {horizon:.4g}]")
 
     h_num, b_num, nn = _numeric_labels(evidence)
     notes.extend(nn)
@@ -389,7 +322,6 @@ def classify_surface(
         route=route,
         horizon=horizon,
         evidence=evidence,
-        tail_fit=tail_fit,
         declared=declared,
         declared_verified=declared_verified,
         notes=tuple(notes),
@@ -410,11 +342,10 @@ def export_report(report: ClassificationReport, txt_path) -> None:
     biharmonic label; ``phi_nondecreasing``, which gates the ``between``
     and ``le_power`` tails' biharmonic label (a verified ``ge_milnor``
     tail labels from K alone); ``declared_tail`` and ``declared_verified``,
-    whether the declared route may label; ``tail_fit_*``, the fit whose
-    inferred inequality, checked the same way, labels instead when the
-    declared tail did not verify (no fit and no numeric label when the
-    horizon is at or below the declared r0); and each ``note``, why a
-    label was withheld.
+    whether the declared tail may label (when it does not, Milnor's two
+    inequalities, checked the same way, may; neither they nor the numeric
+    route label when the horizon is at or below the declared r0); and
+    each ``note``, why a label was given or withheld.
     """
     lines = [
         f"harmonic_regime = {report.harmonic_regime}",
@@ -427,13 +358,6 @@ def export_report(report: ClassificationReport, txt_path) -> None:
         f"declared_tail = {report.declared.kind if report.declared else 'none'}",
         f"declared_verified = {report.declared_verified}",
     ]
-    if report.tail_fit is not None:
-        lines.append(f"tail_fit_kind = {report.tail_fit.kind}")
-        if report.tail_fit.exponent is not None:
-            lines.append(f"tail_fit_exponent = {fmt17(report.tail_fit.exponent)}")
-        if report.tail_fit.kappa is not None:
-            lines.append(f"tail_fit_kappa = {fmt17(report.tail_fit.kappa)}")
-        lines.append(f"tail_fit_residual = {fmt17(report.tail_fit.residual)}")
     for note in report.notes:
         lines.append(f"note = {note}")
     with open(txt_path, "w") as fh:

@@ -11,12 +11,12 @@ Subcommands:
 Each command takes only the flags it reads (``_OPTIONS``). classify,
 modes and bvp read the surface (--profile --eps --eta --r0 --rmax),
 --mmax (classify accepts and ignores it) and --tol; classify and modes
---horizon; modes --grid; bvp --radius. verify reads --horizon alone,
-besides the hidden --inject-fault stencil. All four read --config and
---out. Any other flag, or an --eps, --eta or --r0 the built-in does not
-take, is a usage error (exit 64). A config file (flat key-value text,
-one section per module) serves every command, so it may set fields a
-command does not read; flags override its values. All output files are
+--horizon; modes --grid; bvp --radius. verify reads only the hidden
+--inject-fault stencil. All four read --config and --out. Any other
+flag, or an --eps, --eta or --r0 the built-in does not take, is a usage
+error (exit 64). A config file (flat key-value text, one section per
+module) serves every command, so it may set fields a command does not
+read; flags override its values. All output files are
 deterministic: identical configs produce byte-identical CSV and report
 files.
 
@@ -453,7 +453,7 @@ def _suite_regimes(cfg: RunConfig, out: Path) -> tuple[bool, list[str]]:
     """Built-in surfaces must land in their regimes."""
     from . import asymptotics
 
-    horizon = min(cfg.horizon, 400.0)
+    horizon = 400.0
     expected = [
         ("euclidean", {}, asymptotics.PARABOLIC, asymptotics.RIGID),
         ("hyperbolic", {}, asymptotics.HYPERBOLIC, asymptotics.LIOUVILLE_TO_HARMONIC),
@@ -534,8 +534,7 @@ _OPTIONS = (
     ("--eta", "eta", float, "quadratic tail coefficient", _SURFACE),
     ("--r0", "r0", float, "radius where the declared tail starts", _SURFACE),
     ("--rmax", "r_max", float, "radius of validity for integration", _SURFACE),
-    ("--horizon", "horizon", float, "largest radius used for evidence",
-     ("classify", "modes", "verify")),
+    ("--horizon", "horizon", float, "largest radius used for evidence", ("classify", "modes")),
     ("--mmax", "m_max", int, "largest |m| used (classify ignores it)", _SURFACE),
     ("--grid", "grid", str, "grid as KIND,R_MIN,N (kind: uniform|geometric)", ("modes",)),
     ("--tol", "tol", str, _tol_help, tuple(_MIN_RTOL)),

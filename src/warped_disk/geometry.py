@@ -109,8 +109,9 @@ class TailDescriptor:
       between          -eta r^2 <= K <= -(1+eps)/(r^2 log r)
       le_power         K <= -r^(2+eps)
 
-    A built-in declares its tail; ``asymptotics`` infers one from a fit.
-    Either labels only once ``verify`` has checked it on samples.
+    A built-in declares its tail; ``asymptotics`` checks Milnor's two
+    (ge_milnor, le_log_threshold) when none verifies. Each labels only
+    once ``verify`` has checked it on samples.
     """
 
     kind: str

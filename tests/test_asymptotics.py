@@ -17,57 +17,6 @@ from conftest import k_only
 
 
 # ----------------------------------------------------------------------
-# tail fitting
-# ----------------------------------------------------------------------
-
-def test_fit_power_tail():
-    fit = wd.fit_tail_exponent(lambda r: -(np.asarray(r) ** 4), (10.0, 1000.0))
-    assert fit.kind == "power"
-    assert_allclose(fit.exponent, 4.0, atol=0.05)
-    assert fit.residual < 1e-10
-
-
-def test_fit_constant_curvature_is_flat_power():
-    fit = wd.fit_tail_exponent(lambda r: -np.ones_like(np.asarray(r, dtype=float)),
-                               (10.0, 1000.0))
-    assert fit.kind == "power"
-    assert_allclose(fit.exponent, 0.0, atol=0.05)
-
-
-def test_fit_log_threshold_template():
-    def k(r):
-        r = np.asarray(r, dtype=float)
-        return -2.0 / (r * r * np.log(r))
-
-    fit = wd.fit_tail_exponent(k, (5.0, 500.0))
-    assert fit.kind == "log_threshold"
-    assert_allclose(fit.kappa, 2.0, atol=0.05)
-
-
-def test_fit_refuses_nonnegative():
-    fit = wd.fit_tail_exponent(lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                               (10.0, 100.0))
-    assert fit.kind == "nonnegative"
-
-
-def test_fit_refuses_oscillation():
-    def k(r):
-        r = np.asarray(r, dtype=float)
-        return -np.exp(2.0 * np.sin(np.log(r))) / r**2
-
-    fit = wd.fit_tail_exponent(k, (10.0, 1000.0))
-    assert fit.kind == "undetermined"
-    assert fit.residual > asy.FIT_RESIDUAL_MAX
-
-
-def test_fit_window_validation():
-    with pytest.raises(wd.DomainError):
-        wd.fit_tail_exponent(lambda r: -r, (0.5, 10.0))
-    with pytest.raises(wd.DomainError):
-        wd.fit_tail_exponent(lambda r: -r, (5.0, 10.0), n=8)
-
-
-# ----------------------------------------------------------------------
 # numeric evidence
 # ----------------------------------------------------------------------
 
@@ -287,6 +236,34 @@ def test_milnor_threshold_labels(kappa):
         assert labels == entry.truth
 
 
+def _threshold_surface(kappa):
+    entry = exact.milnor_threshold(kappa)
+    return wd.Surface(entry.name, k_only(entry.k, 1200.0), wd.CurvatureProfile(k=entry.k))
+
+
+# both surfaces on Milnor's threshold are (parabolic, rigid) up to kappa = 1
+_HYPERBOLIC_LIOUVILLE = (wd.HYPERBOLIC, wd.LIOUVILLE_TO_HARMONIC)
+_MILNOR_TRUTH = {kappa: (wd.PARABOLIC, wd.RIGID) if kappa <= 1.0 else _HYPERBOLIC_LIOUVILLE
+                 for kappa in (0.5, 0.9, 1.0, 1.1, 2.0)}
+
+
+@pytest.mark.parametrize("build, kappa", [
+    *[pytest.param(_milnor_family, kappa, id=f"kappa={kappa:g}") for kappa in _MILNOR_TRUTH],
+    *[pytest.param(_threshold_surface, kappa, id=f"milnor_threshold({kappa:g})")
+      for kappa in (0.5, 1.0, 2.0)],
+])
+def test_labels_with_no_declared_tail_are_the_truth_or_undetermined(build, kappa):
+    # Milnor's two inequalities, checked on samples near the horizon, and
+    # the ladder label these; at kappa = 0.5 and 2 they must give the truth
+    truth = _MILNOR_TRUTH[kappa]
+    report = wd.classify_surface(build(kappa), horizon=1000.0)
+    labels = (report.harmonic_regime, report.biharmonic_regime)
+    if kappa in (0.5, 2.0):
+        assert labels == truth
+    else:
+        assert all(got in (want, wd.UNDETERMINED) for got, want in zip(labels, truth)), labels
+
+
 def _keeps(labels, label):
     """Whether every definite label after the first ``label`` is ``label`` too."""
     definite = [got for got in labels if got != wd.UNDETERMINED]
@@ -307,28 +284,33 @@ def test_definite_labels_are_monotone_along_both_threshold_axes():
     assert _keeps(biharmonic, wd.ADMITS_NONHARMONIC_BOUNDED), biharmonic
 
 
-@pytest.mark.parametrize("build, horizon, route, harmonic_by_both", [
-    pytest.param(partial(_milnor_family, 0.5), 1000.0, "declared_tail", None, id="kappa=0.5"),
-    pytest.param(partial(_milnor_family, 0.8), 1000.0, "conflict", None, id="kappa=0.8"),
-    pytest.param(partial(_quadratic_log_family, 3.0), 1000.0, "numeric", None, id="p=3"),
-    pytest.param(partial(_quadratic_log_family, 0.4), 1000.0, "conflict", wd.HYPERBOLIC,
+@pytest.mark.parametrize("build, horizon, route, labels, note", [
+    pytest.param(partial(_milnor_family, 0.5), 1000.0, "declared_tail", None, None,
+                 id="kappa=0.5"),
+    pytest.param(partial(_milnor_family, 0.8), 1000.0, "conflict", None, None, id="kappa=0.8"),
+    pytest.param(partial(_milnor_family, 1.005), 1000.0, "numeric", _HYPERBOLIC_LIOUVILLE,
+                 "neither of Milnor's tails holds on [33.33, 1000]", id="kappa=1.005"),
+    pytest.param(partial(_quadratic_log_family, 3.0), 1000.0, "both", None, None, id="p=3"),
+    pytest.param(partial(_quadratic_log_family, 0.4), 1000.0, "both", _HYPERBOLIC_LIOUVILLE,
+                 "Milnor's le_log_threshold tail from r0 = 33.33 verified on samples",
                  id="p=0.4"),
-    pytest.param(partial(wd.builtin_profile, "power-curvature", eps=1.0), 1000.0, "both", None,
-                 id="power"),
-    pytest.param(partial(wd.builtin_profile, "hyperbolic"), 0.5, "none", None, id="hyperbolic"),
+    pytest.param(partial(wd.builtin_profile, "power-curvature", eps=1.0), 1000.0, "both",
+                 None, None, id="power"),
+    pytest.param(partial(wd.builtin_profile, "hyperbolic"), 0.5, "none", None, None,
+                 id="hyperbolic"),
 ])
-def test_every_overall_route(build, horizon, route, harmonic_by_both):
+def test_every_overall_route(build, horizon, route, labels, note):
     # every overall route, from the per-label routes of the threshold
-    # families and two built-ins; at p = 0.4 the routes conflict on the
-    # biharmonic label only, and both give the harmonic one
+    # families and two built-ins; kappa = 1.005 lies between Milnor's two
+    # inequalities, so only the ladder labels it, and at p = 0.4 the
+    # hyperbolic inequality and the ladder agree on the harmonic label
     report = wd.classify_surface(build(), horizon=horizon)
     assert report.route == route
-    if harmonic_by_both is not None:
-        assert report.harmonic_regime == harmonic_by_both
-        assert any(note.startswith("tail inferred by fit") for note in report.notes)
+    if labels is not None:
+        assert (report.harmonic_regime, report.biharmonic_regime) == labels
+        assert note in report.notes
         assert "phi_m ladder is undetermined" not in report.notes
-        assert [note.split(":")[0] for note in report.notes if "route says" in note] == [
-            "biharmonic"]
+        assert not any("route says" in n for n in report.notes)
 
 
 def test_classify_rejects_other_types(euclidean):
@@ -386,11 +368,6 @@ def test_one_sided_upper_bound_leaves_biharmonic_open():
     assert ok
     assert h == wd.HYPERBOLIC
     assert b == wd.UNDETERMINED
-
-
-def test_fit_gap_near_threshold_gives_no_descriptor():
-    fit = asy.TailFit("log_threshold", None, 1.01, 0.001, (10.0, 100.0))
-    assert asy._fit_descriptor(fit, lambda r: -1.0 / np.asarray(r) ** 2) is None
 
 
 def _bundle(phi_verdict, z_verdict):

@@ -139,6 +139,7 @@ _SMALL_MODES = ["--horizon", "5", "--mmax", "1", "--grid", "geometric,1e-3,32"]
     pytest.param(["verify", "--mmax", "2"], id="verify_mmax"),
     pytest.param(["verify", "--grid", "geometric,1e-3,32"], id="verify_grid"),
     pytest.param(["verify", "--tol", "1e-8,1e-10"], id="verify_tol"),
+    pytest.param(["verify", "--horizon", "1"], id="verify_horizon"),
     # fault names other than stencil
     pytest.param(["verify", "--inject-fault", "comparison"], id="fault_comparison"),
     pytest.param(["verify", "--inject-fault", "regimes"], id="fault_regimes"),
@@ -218,7 +219,7 @@ _OWN_FLAGS = {
               "--mmax", "--grid", "--tol", "--out"],
     "bvp": ["--config", "--profile", "--eps", "--eta", "--r0", "--rmax", "--mmax", "--tol",
             "--radius", "--out"],
-    "verify": ["--config", "--horizon", "--out"],   # --inject-fault is hidden
+    "verify": ["--config", "--out"],   # --inject-fault is hidden
 }
 
 
