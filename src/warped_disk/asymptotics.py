@@ -5,7 +5,8 @@ Two routes feed a classification:
 * declared route -- a tail inequality on K beyond some r0, verified on
   samples up to the horizon, never assumed: the surface's declared tail,
   else Milnor's two inequalities, K >= -1/(r^2 log r) (parabolic) and
-  K <= -(1+eps)/(r^2 log r) (hyperbolic), through the same check;
+  K <= -(1+eps)/(r^2 log r) (hyperbolic), through the same check and
+  also on samples out to r = 1e12;
 * numeric route -- boundedness verdicts at a finite horizon for two
   quantities. Lambda_1 = integral_1^r ds/phi is Milnor's integral: it
   is bounded exactly when the surface is hyperbolic, and Lambda_m is
@@ -76,9 +77,14 @@ DEFAULT_HORIZON = 1000.0
 PLATEAU_FRAC = 1e-6
 RATIO_BOUNDED = 0.92
 RATIO_UNBOUNDED = 0.97
-# the eps of Milnor's hyperbolic inequality, checked when no declared
-# tail verifies: K <= -(1 + MILNOR_EPS)/(r^2 log r)
+# Milnor's inequalities, checked when no declared tail verifies, have
+# K <= -(1 + MILNOR_EPS)/(r^2 log r) as the hyperbolic one, and are also
+# sampled out to MILNOR_FAR: K = -a(a-1)/r^2 (phi ~ r^a, hyperbolic for
+# a > 1) stays above the parabolic bound to r = 1000 up to a = 1.127, and
+# falls below it by 1e12 from a = 1.035 on, below which the ladder reads
+# parabolic too
 MILNOR_EPS = 0.01
+MILNOR_FAR = 1e12
 
 
 # ----------------------------------------------------------------------
@@ -254,9 +260,9 @@ def classify_surface(
 
     The declared route reads the declared tail, else the first of
     Milnor's two inequalities that holds on samples of [max(horizon/30, 2),
-    horizon]. Labels are only combined when the routes agree; a
-    disagreement downgrades to undetermined and is recorded in the
-    notes. A horizon at or below the declared tail's r0 labels from
+    horizon] and of [max(horizon/30, 2), 1e12]. Labels are only combined
+    when the routes agree; a disagreement downgrades to undetermined and
+    is recorded in the notes. A horizon at or below the declared tail's r0 labels from
     neither route.
     """
     if not isinstance(surface, Surface):
@@ -273,20 +279,22 @@ def classify_surface(
         h_dec, b_dec, declared_verified, dn = _declared_labels(k, declared, horizon, evidence)
         notes.extend(dn)
 
-    # when it does not verify, check Milnor's two inequalities near the
-    # horizon (from r = 2 on) through the same path, parabolic first
-    lo = max(horizon / 30.0, 2.0)
+    # when it does not verify, check Milnor's two inequalities from near
+    # the horizon (from r = 2 on) through the same path, parabolic first,
+    # and on samples out to MILNOR_FAR
+    lo, far = max(horizon / 30.0, 2.0), max(horizon, MILNOR_FAR)
     if not (declared_verified or below_tail) and lo < horizon:
         for milnor in (TailDescriptor("ge_milnor", r0=lo),
                        TailDescriptor("le_log_threshold", r0=lo, eps=MILNOR_EPS)):
             h_mil, b_mil, ok, mn = _declared_labels(k, milnor, horizon, evidence)
-            if ok:
+            if ok and milnor.verify(k, far).ok:
                 h_dec, b_dec = h_mil, b_mil
-                notes.append(f"Milnor's {milnor.kind} tail from r0 = {lo:.4g} verified on samples")
+                notes.append(f"Milnor's {milnor.kind} tail verified on samples of "
+                             f"[{lo:.4g}, {far:.4g}]")
                 notes.extend(mn)
                 break
         else:
-            notes.append(f"neither of Milnor's tails holds on [{lo:.4g}, {horizon:.4g}]")
+            notes.append(f"neither of Milnor's tails holds on samples of [{lo:.4g}, {far:.4g}]")
 
     h_num, b_num, nn = _numeric_labels(evidence)
     notes.extend(nn)

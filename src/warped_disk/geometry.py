@@ -132,19 +132,20 @@ class TailDescriptor:
             raise DomainError("tail declarations only make sense for r0 > 1")
 
     def holds_at(self, r: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Pointwise check of the declared inequality at radii r > r0."""
+        """Pointwise check of the declared inequality at radii r > r0, up to
+        _TAIL_SLACK of the larger side of each comparison, at any scale of K."""
         r = np.asarray(r, dtype=float)
         k = np.asarray(k, dtype=float)
-        slack = _TAIL_SLACK * np.maximum(1.0, np.abs(k))
+
+        def le(a, b):
+            return a <= b + _TAIL_SLACK * np.maximum(np.abs(a), np.abs(b))
+
         if self.kind == "ge_milnor":
-            return k >= _milnor_bound(r) - slack
-        if self.kind == "le_log_threshold":
-            return k <= (1.0 + self.eps) * _milnor_bound(r) + slack
-        if self.kind == "between":
-            lower = -self.eta * r * r
-            upper = (1.0 + self.eps) * _milnor_bound(r)
-            return (k >= lower - slack) & (k <= upper + slack)
-        return k <= -(r ** (2.0 + self.eps)) + slack    # le_power
+            return le(_milnor_bound(r), k)
+        if self.kind == "le_power":
+            return le(k, -(r ** (2.0 + self.eps)))
+        upper = le(k, (1.0 + self.eps) * _milnor_bound(r))
+        return upper & le(-self.eta * r * r, k) if self.kind == "between" else upper
 
     def verify(self, k: Callable, r_upper: float, n: int = 200) -> TailCheck:
         """Sample the inequality on K at n radii of (r0, r_upper]; none when r_upper <= r0."""
@@ -376,6 +377,26 @@ def _blended_curvature(tail: Callable, r0: float) -> Callable:
         return (1.0 - s) * cap + s * tail(r)
 
     return k
+
+
+def k_only_surface(name: str, k: Callable, r_max: float) -> Surface:
+    """A surface of K alone, valid to r_max, with no declared tail and no evaluators."""
+    metric = MetricProfile(phi=None, phi_prime=None, log_phi=None, dlog_phi=None, r_max=r_max, k=k)
+    return Surface(name, metric, CurvatureProfile(k=k))
+
+
+# K of three families, blended at r0 as the built-ins are: -kappa/(r^2 log r)
+# is parabolic up to kappa = 1, -r^2 (log r)^p has z_0 bounded exactly when
+# p > 2, and -a(a-1)/r^2 (phi ~ r^a) is hyperbolic for every a > 1
+_FAMILY_TAILS = {"kappa": (2.0, lambda c: lambda r: -c / (r * r * math.log(r))),
+                 "p": (3.0, lambda p: lambda r: -r * r * math.log(r) ** p),
+                 "a": (2.0, lambda a: lambda r: -a * (a - 1.0) / (r * r))}
+
+
+def family_surface(family: str, value: float, r_max: float = DEFAULT_R_MAX) -> Surface:
+    """The K-only surface of one family of _FAMILY_TAILS ("kappa", "p" or "a") at one value."""
+    r0, tail = _FAMILY_TAILS[family]
+    return k_only_surface(f"{family}={value:g}", _blended_curvature(tail(value), r0), r_max)
 
 
 # the parameters each built-in family takes; any other is refused

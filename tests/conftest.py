@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 import warped_disk as wd
+from warped_disk.geometry import k_only_surface
 
 # property tests are reproducible and free of per-example time limits
 settings.register_profile("warped-disk", deadline=None, derandomize=True)
@@ -13,8 +14,7 @@ FAR = 1100.0  # covers the default evidence horizon with margin
 
 def k_only(k, r_max):
     """A profile of K alone, without evaluators: a mode pass reads K alone."""
-    return wd.MetricProfile(phi=None, phi_prime=None, log_phi=None, dlog_phi=None,
-                            r_max=r_max, k=k)
+    return k_only_surface("k-only", k, r_max).metric
 
 
 @pytest.fixture(scope="session")

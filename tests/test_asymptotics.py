@@ -1,4 +1,3 @@
-import math
 from functools import partial
 
 import numpy as np
@@ -10,7 +9,7 @@ from numpy.testing import assert_allclose
 import warped_disk as wd
 from warped_disk import asymptotics as asy
 from warped_disk import exact
-from warped_disk.geometry import TAIL_KINDS, _blended_curvature
+from warped_disk.geometry import TAIL_KINDS, _blended_curvature, family_surface, k_only_surface
 from warped_disk.modes import mode_pass
 
 from conftest import k_only
@@ -53,20 +52,10 @@ def test_z0_matches_its_closed_form(request, surface, k):
     assert_allclose(z[0], exact.space_form(k).z0(radii), rtol=1e-9)
 
 
-def _family(k_tail, r0):
-    """A surface from a blended tail, with no declared tail, valid to r = 1200."""
-    k = _blended_curvature(k_tail, r0)
-    return wd.Surface("family", k_only(k, 1200.0), wd.CurvatureProfile(k=k))
-
-
-def _milnor_family(kappa):
-    # K = -kappa/(r^2 log r): Milnor's threshold sits at kappa = 1
-    return _family(lambda r: -kappa / (r * r * math.log(r)), 2.0)
-
-
-def _quadratic_log_family(p):
-    # K = -r^2 (log r)^p: z(inf) < inf exactly when p > 2
-    return _family(lambda r: -r * r * math.log(r) ** p, 3.0)
+# K = -kappa/(r^2 log r): Milnor's threshold sits at kappa = 1
+_milnor_family = partial(family_surface, "kappa")
+# K = -r^2 (log r)^p: z(inf) < inf exactly when p > 2
+_quadratic_log_family = partial(family_surface, "p")
 
 
 @pytest.mark.parametrize("build", [
@@ -225,40 +214,30 @@ def test_numeric_route_is_silent_below_its_horizon():
 ])
 def test_milnor_threshold_labels(kappa):
     # phi = r u^kappa sits exactly on Milnor's threshold at kappa = 1, with
-    # no declared tail: kappa = 0.5 may stay undetermined, the others may not
+    # no declared tail; Milnor's parabolic inequality labels kappa = 0.5
     entry = exact.milnor_threshold(kappa)
-    surface = wd.Surface(entry.name, k_only(entry.k, 1200.0), wd.CurvatureProfile(k=entry.k))
-    report = wd.classify_surface(surface, horizon=1000.0)
-    labels = (report.harmonic_regime, report.biharmonic_regime)
-    if kappa == 0.5:
-        assert all(got in (want, wd.UNDETERMINED) for got, want in zip(labels, entry.truth))
-    else:
-        assert labels == entry.truth
+    report = wd.classify_surface(k_only_surface(entry.name, entry.k, 1200.0), horizon=1000.0)
+    assert (report.harmonic_regime, report.biharmonic_regime) == entry.truth
 
 
-def _threshold_surface(kappa):
-    entry = exact.milnor_threshold(kappa)
-    return wd.Surface(entry.name, k_only(entry.k, 1200.0), wd.CurvatureProfile(k=entry.k))
-
-
-# both surfaces on Milnor's threshold are (parabolic, rigid) up to kappa = 1
 _HYPERBOLIC_LIOUVILLE = (wd.HYPERBOLIC, wd.LIOUVILLE_TO_HARMONIC)
-_MILNOR_TRUTH = {kappa: (wd.PARABOLIC, wd.RIGID) if kappa <= 1.0 else _HYPERBOLIC_LIOUVILLE
-                 for kappa in (0.5, 0.9, 1.0, 1.1, 2.0)}
 
 
-@pytest.mark.parametrize("build, kappa", [
-    *[pytest.param(_milnor_family, kappa, id=f"kappa={kappa:g}") for kappa in _MILNOR_TRUTH],
-    *[pytest.param(_threshold_surface, kappa, id=f"milnor_threshold({kappa:g})")
-      for kappa in (0.5, 1.0, 2.0)],
+@pytest.mark.parametrize("family, value, truth", [
+    *[pytest.param("kappa", kappa, (wd.PARABOLIC, wd.RIGID) if kappa <= 1.0
+                   else _HYPERBOLIC_LIOUVILLE, id=f"kappa={kappa:g}")
+      for kappa in (0.5, 0.9, 1.0, 1.1, 2.0)],
+    *[pytest.param("a", a, _HYPERBOLIC_LIOUVILLE, id=f"a={a:g}") for a in (1.05, 1.1)],
 ])
-def test_labels_with_no_declared_tail_are_the_truth_or_undetermined(build, kappa):
-    # Milnor's two inequalities, checked on samples near the horizon, and
-    # the ladder label these; at kappa = 0.5 and 2 they must give the truth
-    truth = _MILNOR_TRUTH[kappa]
-    report = wd.classify_surface(build(kappa), horizon=1000.0)
+def test_labels_with_no_declared_tail_are_the_truth_or_undetermined(family, value, truth):
+    # Milnor's two inequalities, sampled near the horizon and out to 1e12,
+    # and the ladder label these; at kappa = 0.5 and 2 they must give the
+    # truth. phi ~ r^a (K = -a(a-1)/r^2) is hyperbolic, yet at a = 1.05
+    # and 1.1 it stays above Milnor's bound on [33.3, 1000] while its
+    # ladder is undetermined: only the far samples keep it from (parabolic, rigid)
+    report = wd.classify_surface(family_surface(family, value), horizon=1000.0)
     labels = (report.harmonic_regime, report.biharmonic_regime)
-    if kappa in (0.5, 2.0):
+    if family == "kappa" and value in (0.5, 2.0):
         assert labels == truth
     else:
         assert all(got in (want, wd.UNDETERMINED) for got, want in zip(labels, truth)), labels
@@ -289,10 +268,11 @@ def test_definite_labels_are_monotone_along_both_threshold_axes():
                  id="kappa=0.5"),
     pytest.param(partial(_milnor_family, 0.8), 1000.0, "conflict", None, None, id="kappa=0.8"),
     pytest.param(partial(_milnor_family, 1.005), 1000.0, "numeric", _HYPERBOLIC_LIOUVILLE,
-                 "neither of Milnor's tails holds on [33.33, 1000]", id="kappa=1.005"),
+                 "neither of Milnor's tails holds on samples of [33.33, 1e+12]",
+                 id="kappa=1.005"),
     pytest.param(partial(_quadratic_log_family, 3.0), 1000.0, "both", None, None, id="p=3"),
     pytest.param(partial(_quadratic_log_family, 0.4), 1000.0, "both", _HYPERBOLIC_LIOUVILLE,
-                 "Milnor's le_log_threshold tail from r0 = 33.33 verified on samples",
+                 "Milnor's le_log_threshold tail verified on samples of [33.33, 1e+12]",
                  id="p=0.4"),
     pytest.param(partial(wd.builtin_profile, "power-curvature", eps=1.0), 1000.0, "both",
                  None, None, id="power"),

@@ -448,6 +448,21 @@ def test_verify_tail_detects_violation():
     assert check.first_violation is not None
 
 
+@pytest.mark.parametrize("kind, eps", [("ge_milnor", None), ("le_log_threshold", 0.01)])
+def test_tail_check_reads_the_same_at_every_scale(kind, eps):
+    # far out Milnor's bound -1/(r^2 log r) is far below 1e-9 in size, so
+    # the check's rounding slack is relative to the sides it compares:
+    # K = -0.11/r^2 crosses the bound at r = 8.9e3, and 1.5 times the
+    # bound lies below it everywhere
+    tail = wd.TailDescriptor(kind, r0=2.0, eps=eps)
+    r = np.array([1e3, 1e6, 1e12])
+    bound = -1.0 / (r * r * np.log(r))
+    assert tail.holds_at(r, -0.11 / r**2).tolist() == (
+        [True, False, False] if kind == "ge_milnor" else [False, True, True])
+    assert tail.holds_at(r, 1.5 * bound).tolist() == [kind != "ge_milnor"] * 3
+    assert tail.holds_at(r, bound * (1.0 + (eps or 0.0))).tolist() == [True] * 3
+
+
 # ----------------------------------------------------------------------
 # files
 # ----------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
     PYTHONPATH=src python tools/label_table.py [--horizons 100,1000]
 
-Classifies 85 surfaces through the Python API, none with a declared
-tail, at each horizon: K = -kappa/(r^2 log r) blended at r0 = 2 for 31
-kappa in [0.5, 2]; K = -r^2 (log r)^p blended at r0 = 3 for 31 p in
-[0, 6]; ``exact.milnor_threshold`` at kappa = 0.5, 0.8, 1, 1.2 and 2;
+Classifies 90 surfaces through the Python API, none with a declared
+tail, at each horizon: the K-only families of ``geometry.family_surface``,
+K = -kappa/(r^2 log r) for 31 kappa in [0.5, 2], K = -r^2 (log r)^p for
+31 p in [0, 6] and K = -a(a-1)/r^2 (phi ~ r^a) for a = 1.02, 1.05, 1.1,
+1.5 and 2; ``exact.milnor_threshold`` at kappa = 0.5, 0.8, 1, 1.2 and 2;
 ``exact.exp_square``; and 17 built-ins with their declared tails
 stripped. Every surface is valid to r = 1200 and reads K alone.
 
@@ -20,11 +21,10 @@ table takes about 2 s on one core.
 from __future__ import annotations
 
 import argparse
-import math
 
 import warped_disk as wd
 from warped_disk import exact
-from warped_disk.geometry import _blended_curvature
+from warped_disk.geometry import family_surface, k_only_surface
 
 R_MAX = 1200.0
 SCORES = ("both true", "true + undetermined", "both undetermined", "true + wrong",
@@ -40,32 +40,28 @@ _BUILTINS = (("euclidean", {}, _PARABOLIC_RIGID), ("hyperbolic", {}, _LIOUVILLE)
                for value in (0.1, 0.5, 1.0, 2.0, 4.0)))
 
 
-def _surface(name: str, k) -> wd.Surface:
-    metric = wd.MetricProfile(phi=None, phi_prime=None, log_phi=None, dlog_phi=None,
-                              r_max=R_MAX, k=k)
-    return wd.Surface(name, metric, wd.CurvatureProfile(k=k))
-
-
 def cases():
     """(name, surface, truth) of every surface in the table."""
     for i in range(31):
         kappa = (10 + i) / 20.0
-        k = _blended_curvature(lambda r, c=kappa: -c / (r * r * math.log(r)), 2.0)
-        yield (f"kappa={kappa:g}", _surface("kappa", k),
+        yield (f"kappa={kappa:g}", family_surface("kappa", kappa, R_MAX),
                _PARABOLIC_RIGID if kappa <= 1.0 else _LIOUVILLE)
     for i in range(31):
         # z(inf) < inf exactly when integral^inf (-K)^(-1/2) dr < inf: p > 2
         p = i / 5.0
-        k = _blended_curvature(lambda r, q=p: -r * r * math.log(r) ** q, 3.0)
-        yield f"p={p:g}", _surface("p", k), _ADMITS if p > 2.0 else _LIOUVILLE
+        yield f"p={p:g}", family_surface("p", p, R_MAX), _ADMITS if p > 2.0 else _LIOUVILLE
+    for a in (1.02, 1.05, 1.1, 1.5, 2.0):
+        # integral^inf dr/r^a < inf, and w_0 grows like r/(a+1)
+        yield f"a={a:g}", family_surface("a", a, R_MAX), _LIOUVILLE
     for kappa in (0.5, 0.8, 1.0, 1.2, 2.0):
         entry = exact.milnor_threshold(kappa)
-        yield entry.name, _surface(entry.name, entry.k), entry.truth
+        yield entry.name, k_only_surface(entry.name, entry.k, R_MAX), entry.truth
     # K = -6 - 4 r^2 lies between -5 r^2 and Milnor's bound far out
-    yield exact.exp_square.name, _surface(exact.exp_square.name, exact.exp_square.k), _LIOUVILLE
+    entry = exact.exp_square
+    yield entry.name, k_only_surface(entry.name, entry.k, R_MAX), _LIOUVILLE
     for family, params, truth in _BUILTINS:
         built = wd.builtin_profile(family, r_max=R_MAX, **params)
-        yield f"{built.name} stripped", _surface(built.name, built.curvature.k), truth
+        yield f"{built.name} stripped", k_only_surface(built.name, built.curvature.k, R_MAX), truth
 
 
 def score(labels, truth) -> str:
